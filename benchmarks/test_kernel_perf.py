@@ -24,7 +24,7 @@ from repro.cluster.resource_model import (
     SensitivityVector,
 )
 from repro.core.monitor import pcr_fit
-from repro.core.queueing import max_arrival_rate
+from repro.sim.queueing import max_arrival_rate
 from repro.sim.environment import Environment
 
 _BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"

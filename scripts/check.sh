@@ -55,7 +55,14 @@
 #                 10% while the no-notice hard kill exceeds 25%, with
 #                 both legs float.hex-deterministic across worker
 #                 counts.
-#  11. pytest   — the quick test tier (slow end-to-end benches excluded;
+#  11. perfbench — the simulator benchmark's own tests (perfbench/):
+#                 metric names match BENCHMARK.json, tracing leaves the
+#                 modelled outputs and counts identical, and the probe
+#                 can still install its wrappers on
+#                 core.runtime.build_surface_set, ContainerPool.prewarm
+#                 and IaaSService.deploy: a refactor that renames or
+#                 moves one of them fails here, not in a later benchmark.
+#  12. pytest   — the quick test tier (slow end-to-end benches excluded;
 #                 run `pytest` with no -m filter for the full tier).
 #
 # Usage: scripts/check.sh
@@ -218,7 +225,7 @@ echo "== queueing: large-N Erlang math stays finite and accurate =="
 python - <<'EOF'
 from decimal import Decimal, getcontext
 
-from repro.core.queueing import (
+from repro.sim.queueing import (
     discriminant_lambda, erlang_pin, min_servers, wait_quantile,
 )
 
@@ -406,6 +413,9 @@ print(
     f"{HARDKILL_VIOLATION_FLOOR:.0%}, both legs worker-count invariant"
 )
 EOF
+
+echo "== perfbench: benchmark harness and probe hooks =="
+python -m pytest perfbench -q
 
 echo "== pytest: quick tier =="
 python -m pytest -x -q -m "not slow"

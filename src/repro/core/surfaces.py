@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.cluster import ContentionConfig, NodeSpec
+from repro.cluster import ContentionConfig, NodeSpec, SensitivityVector
 from repro.core.meters import expected_platform_overhead
 from repro.serverless import ServerlessConfig
 from repro.workloads import MicroserviceSpec
@@ -33,7 +33,76 @@ __all__ = [
     "build_surface_set",
     "measured_surface",
     "service_time_fixed_point",
+    "service_time_grid",
+    "slowdown_grid",
 ]
+
+
+def slowdown_grid(
+    contention: ContentionConfig, sens: SensitivityVector, pressures: np.ndarray
+) -> np.ndarray:
+    """:meth:`ContentionConfig.slowdown` over a ``(3, n)`` pressure array.
+
+    Follows ``ContentionConfig.g`` and ``slowdown`` term for term.  The
+    map is ``+ − ×``, ``min``/``max`` and comparisons only, so every
+    element is the same IEEE operations in the same order: bit-identical
+    to the scalar method.
+    """
+    p = np.minimum(pressures, contention.pressure_cap)
+    excess = p - contention.knee
+    g = contention.linear * p + np.where(excess > 0, contention.quad * excess * excess, 0.0)
+    d0, d1, d2 = (s * g_r for s, g_r in zip(sens.as_tuple(), g))
+    total = d0 + d1 + d2
+    worst = np.maximum(np.maximum(d0, d1), d2)
+    return 1.0 + worst + (1.0 - contention.overlap) * (total - worst)
+
+
+def service_time_grid(
+    spec: MicroserviceSpec,
+    external: "ArrayLike",
+    loads: "ArrayLike",
+    capacities: Tuple[float, float, float],
+    contention: ContentionConfig,
+    tol: float = 1e-9,
+    max_iter: int = 200,
+) -> np.ndarray:
+    """Self-consistent contended service time of ``n`` (pressure, load) cells.
+
+    ``external`` is ``(n, 3)`` platform pressures, ``loads`` the own loads
+    in queries/s.  Each cell solves ``s = exec · slowdown(sens, external +
+    own(s))``, ``own(s)`` being the pressure of the service's own
+    ``load·s`` concurrent executions, by damped iteration from ``s =
+    exec``.  The cells iterate together as arrays, but each freezes at its
+    first ``s_new`` with ``|s_new − s| < tol·exec``.  The pressure cap
+    bounds the map, yet steep self-saturated cells may still be moving
+    after ``max_iter`` steps: they return their last damped ``s``
+    (EXPERIMENTS.md, "Known fidelity gaps").
+    """
+    ext = np.asarray(external, dtype=float).T
+    load = np.asarray(loads, dtype=float)
+    if ext.shape != (3, load.size):
+        raise ValueError(f"external must be (n, 3) for n = {load.size} loads")
+    if np.any(load < 0):
+        raise ValueError(f"loads must be >= 0, got {load.min()}")
+    d = spec.demand
+    per_query = (np.array([d.cpu, d.io_mbps, d.net_mbps]) / capacities)[:, None]
+    exec_time = spec.exec_time
+    bound = tol * exec_time
+    out = np.full(load.size, float(exec_time))
+    cells = np.arange(load.size)
+    s = out.copy()
+    for _ in range(max_iter):
+        if not cells.size:
+            break
+        s_new = exec_time * slowdown_grid(contention, spec.sensitivity, ext + (load * s) * per_query)
+        done = np.abs(s_new - s) < bound
+        s = 0.5 * (s + s_new)
+        if done.any():
+            out[cells[done]] = s_new[done]
+            live = ~done
+            cells, ext, load, s = cells[live], ext[:, live], load[live], s[live]
+    out[cells] = s
+    return out
 
 
 def service_time_fixed_point(
@@ -45,30 +114,8 @@ def service_time_fixed_point(
     tol: float = 1e-9,
     max_iter: int = 200,
 ) -> float:
-    """Self-consistent contended service time at ``load`` queries/s.
-
-    Solves ``s = exec · slowdown(sens, external + own(s))`` where
-    ``own(s)`` is the pressure of the service's own ``load·s`` concurrent
-    executions.  Damped iteration; the pressure cap in the contention
-    config bounds the map, so it always converges.
-    """
-    if load < 0:
-        raise ValueError(f"load must be >= 0, got {load}")
-    d = spec.demand
-    per_query = (d.cpu / capacities[0], d.io_mbps / capacities[1], d.net_mbps / capacities[2])
-    s = spec.exec_time
-    for _ in range(max_iter):
-        busy = load * s
-        p = (
-            external[0] + busy * per_query[0],
-            external[1] + busy * per_query[1],
-            external[2] + busy * per_query[2],
-        )
-        s_new = spec.exec_time * contention.slowdown(spec.sensitivity, p)
-        if abs(s_new - s) < tol * spec.exec_time:
-            return s_new
-        s = 0.5 * (s + s_new)
-    return s
+    """:func:`service_time_grid` for one cell (which may also exit unconverged)."""
+    return float(service_time_grid(spec, [external], [load], capacities, contention, tol, max_iter)[0])
 
 
 @dataclass(frozen=True)
@@ -174,19 +221,19 @@ def build_surface_set(
     # does not overshoot on the convex surface
     v_grid = load_max * (np.linspace(0.0, 1.0, load_points) ** 2)
 
-    surfaces = []
+    # one cell per (axis, pressure, load): external pressure p on the
+    # surface's own axis only, solved together as one array iteration
+    n_p, n_v = p_grid.size, v_grid.size
+    external = np.zeros((3, n_p, n_v, 3))
     for axis in range(3):
-        z = np.empty((p_grid.size, v_grid.size))
-        for i, p in enumerate(p_grid):
-            ext = [0.0, 0.0, 0.0]
-            ext[axis] = float(p)
-            for j, v in enumerate(v_grid):
-                z[i, j] = service_time_fixed_point(
-                    spec, (ext[0], ext[1], ext[2]), float(v), capacities, contention
-                )
-        surfaces.append(
-            LatencySurface(service=spec.name, axis=axis, pressures=p_grid, loads=v_grid, values=z)
-        )
+        external[axis, :, :, axis] = p_grid[:, None]
+    loads = np.tile(v_grid, 3 * n_p)
+    z = service_time_grid(spec, external.reshape(-1, 3), loads, capacities, contention)
+    z = z.reshape(3, n_p, n_v)
+    surfaces = [
+        LatencySurface(service=spec.name, axis=axis, pressures=p_grid, loads=v_grid, values=z[axis])
+        for axis in range(3)
+    ]
     return SurfaceSet(
         service=spec.name,
         surfaces=(surfaces[0], surfaces[1], surfaces[2]),

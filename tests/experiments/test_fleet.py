@@ -10,7 +10,7 @@ import math
 import pytest
 
 from repro.core.meters import expected_platform_overhead
-from repro.core.queueing import sojourn_quantile
+from repro.sim.queueing import sojourn_quantile
 from repro.experiments.fleet import (
     FLEET_DAY,
     analytic_service_prediction,
