@@ -181,7 +181,8 @@ print("disabled-policy run is bit-identical to the baseline")
 m = stormy.services["matmul"].metrics
 ov = stormy.overload
 assert ov is not None and ov.policy_enabled
-assert sum(ov.drops.values()) > 0, "expected the overload policy to shed something"
+drops = m.counters["drops"]
+assert sum(drops.values()) > 0, "expected the overload policy to shed something"
 assert m.completed > 0, "expected surviving goodput under overload"
 p95 = m.latency_percentile(95)
 if p95 > m.qos_target:
@@ -190,7 +191,7 @@ assert ov.peak_queue_depth_serverless <= policy.max_queue_depth
 assert ov.peak_queue_depth_iaas <= policy.max_queue_depth
 print(
     f"overload smoke: p95 {p95:.3f}s <= QoS {m.qos_target:g}s, "
-    f"drops {ov.drops}, breaker {ov.breaker_state} "
+    f"drops {drops}, breaker {ov.breaker_state} "
     f"(opens {ov.breaker_trips + ov.breaker_reopens})"
 )
 EOF
@@ -387,7 +388,7 @@ for leg in ("graceful", "hardkill"):
     b = fanned[leg].services["matmul"].metrics
     if [x.hex() for x in a.latencies.values()] != [x.hex() for x in b.latencies.values()]:
         raise SystemExit(f"{leg} leg diverged between workers=1 and workers=2")
-    if a.preemptions != b.preemptions:
+    if a.counters["preemptions"] != b.counters["preemptions"]:
         raise SystemExit(f"{leg} preemption accounting diverged across worker counts")
 graceful = serial["graceful"].services["matmul"].metrics
 hardkill = serial["hardkill"].services["matmul"].metrics
@@ -403,7 +404,7 @@ if hardkill.violation_fraction_with_failures <= HARDKILL_VIOLATION_FLOOR:
         f"{hardkill.violation_fraction_with_failures:.1%} — the storm gate "
         "is no longer discriminating"
     )
-if graceful.preemptions["killed_inflight"] != 0:
+if graceful.counters["preemptions"]["killed_inflight"] != 0:
     raise SystemExit("graceful drain killed in-flight queries")
 print(
     f"preemption-storm gate: graceful viol "

@@ -76,15 +76,15 @@ def chaos_sweep(
             baseline = (viol, viol_with_drops)
         fs = result.faults
         assert fs is not None  # chaos scenarios always attach a plan
-        # the unified dropped{reason} family: chaos runs have no overload
-        # layer, so every foreground drop must carry reason "crash"
-        fg_drops = result.services[scenario.foreground.name].metrics.drops
+        # chaos runs have no overload layer, so every foreground drop
+        # must carry reason "crash"
+        fg_drops = result.services[scenario.foreground.name].metrics.counters["drops"]
         rows.append(
             [
                 scale,
                 fs.total_injected,
-                fs.query_retries,
-                fs.queries_dropped,
+                fs.injected["query_retries"],
+                fs.injected["queries_dropped"],
                 fg_drops["crash"],
                 len(fs.switch_aborts),
                 fs.switches_completed,

@@ -60,19 +60,19 @@ class FaultSummary:
     """Fault-layer outcome of one run (all zero on a fault-free run).
 
     ``injected`` is the raw :class:`~repro.faults.injector.FaultStats`
-    counter dict; the rest are the degradation-policy responses the
-    chaos report reads: how often the runtime retried, aborted, force-
-    released or fell back to safe mode instead of wedging.
+    counter dict, including the crash-retry resubmissions
+    (``query_retries``) and retry-exhausted drops (``queries_dropped``)
+    across all services; the rest are the degradation-policy responses
+    the chaos report reads: how often the runtime aborted, force-released
+    or fell back to safe mode instead of wedging.  Per-service drop,
+    retry and preemption counts live in each service's
+    ``ServiceMetrics.counters``.
     """
 
     #: raw injection counters (FaultStats.as_dict())
     injected: Dict[str, int] = field(default_factory=dict)
     #: every primary injection (retries/drops are consequences)
     total_injected: int = 0
-    #: crash-retry resubmissions across all services
-    query_retries: int = 0
-    #: queries dropped after exhausting their retry budget
-    queries_dropped: int = 0
     #: (time, target mode value, reason) for every aborted switch
     switch_aborts: Tuple[Tuple[float, str, str], ...] = ()
     #: switches that actually flipped the route
@@ -81,9 +81,6 @@ class FaultSummary:
     drain_force_releases: int = 0
     #: controller periods spent in stale-telemetry safe mode
     safe_mode_periods: int = 0
-    #: foreground ``preemptions{kind}`` family (noticed / drained /
-    #: killed_inflight / replaced) — spot reclamation outcomes
-    preemptions: Dict[str, int] = field(default_factory=dict)
     #: emergency switch-ins taken in reaction to a preemption notice
     preemption_switches: int = 0
 
@@ -94,21 +91,16 @@ class OverloadSummary:
 
     Present on a :class:`~repro.experiments.runner.RunResult` whenever a
     policy — even a disabled one — was attached to the scenario.  The
-    ``drops`` dict is the unified ``dropped{reason}`` counter family from
-    :class:`~repro.telemetry.ServiceMetrics`; the breaker fields expose
-    the trip/half-open/close lifecycle for the telemetry-visibility
+    foreground's drops, retries and preemptions are its
+    ``ServiceMetrics.counters``; the breaker fields expose the
+    trip/half-open/close lifecycle for the telemetry-visibility
     acceptance check.
     """
 
     #: whether the attached policy was actually enabled
     policy_enabled: bool = False
-    #: foreground drops by reason (crash/admission/shed/breaker)
-    drops: Dict[str, int] = field(default_factory=dict)
     #: governor-side rejections by reason, both platforms combined
     rejections: Dict[str, int] = field(default_factory=dict)
-    #: foreground retries by kind — the unified ``retries{kind}`` family
-    #: (attempted/exhausted/deadline_abandoned) from ServiceMetrics
-    retries: Dict[str, int] = field(default_factory=dict)
     #: queries the frontend/dispatch rejected + queues shed (foreground)
     total_rejections: int = 0
     #: breaker lifecycle counters
@@ -125,9 +117,6 @@ class OverloadSummary:
     peak_queue_depth_iaas: int = 0
     #: controller periods spent under brownout (foreground)
     brownout_periods: int = 0
-    #: foreground ``preemptions{kind}`` family (spot reclamation events
-    #: seen while the overload layer was attached)
-    preemptions: Dict[str, int] = field(default_factory=dict)
     #: controller periods on which the flash-crowd detector tripped
     surge_periods: int = 0
 

@@ -4,10 +4,11 @@ Runs :func:`~repro.experiments.scenarios.overload_scenario` — the
 standard §VII setup driven to ``factor`` times the nominal peak with the
 chaos fault mix on — twice per factor: once with the overload layer
 disabled (the unprotected baseline) and once with the policy enabled.
-Per factor the report shows offered/completed counts, the unified
-``dropped{reason}`` split, both runs' admitted-query p95 against the QoS
-target, the exact queue-depth high-water marks and the breaker
-lifecycle — i.e. everything the overload acceptance criteria ask to see.
+Per factor the report shows offered/completed counts, the foreground's
+``drops{reason}`` and ``retries{kind}`` counters, both runs'
+admitted-query p95 against the QoS target, the exact queue-depth
+high-water marks and the breaker lifecycle — i.e. everything the
+overload acceptance criteria ask to see.
 
 CLI: ``python -m repro.experiments overload [--day D --seed S]``.
 """
@@ -85,19 +86,20 @@ def overload_sweep(
         ov = on.overload
         assert ov is not None and ov.policy_enabled
         offered = m_on.completed + m_on.failed
+        drops, retries = m_on.counters["drops"], m_on.counters["retries"]
         shed_frac = m_on.failed / offered if offered else 0.0
         rows.append(
             [
                 factor,
                 offered,
                 m_on.completed,
-                ov.drops.get("crash", 0),
-                ov.drops.get("admission", 0),
-                ov.drops.get("shed", 0),
-                ov.drops.get("breaker", 0),
-                ov.retries.get("attempted", 0),
-                ov.retries.get("exhausted", 0),
-                ov.retries.get("deadline_abandoned", 0),
+                drops["crash"],
+                drops["admission"],
+                drops["shed"],
+                drops["breaker"],
+                retries["attempted"],
+                retries["exhausted"],
+                retries["deadline_abandoned"],
                 shed_frac,
                 _fg_p95(off, name),
                 _fg_p95(on, name),

@@ -227,15 +227,12 @@ def run_amoeba(
         fault_summary = FaultSummary(
             injected=stats.as_dict(),
             total_injected=stats.total_injected,
-            query_retries=stats.query_retries,
-            queries_dropped=stats.queries_dropped,
             switch_aborts=tuple(
                 (t, m.value, reason) for t, m, reason in fg.engine.switch_aborts
             ),
             switches_completed=len(fg.engine.mode_timeline) - 1,
             drain_force_releases=fg.engine.drain_force_releases,
             safe_mode_periods=fg.controller.safe_mode_periods,
-            preemptions=dict(fg.metrics.preemptions),
             preemption_switches=fg.engine.preemption_switches,
         )
     overload_summary: Optional[OverloadSummary] = None
@@ -244,9 +241,7 @@ def run_amoeba(
         breaker = gov.breaker
         overload_summary = OverloadSummary(
             policy_enabled=gov.policy.enabled,
-            drops=dict(fg.metrics.drops),
             rejections=dict(gov.rejections),
-            retries=dict(fg.metrics.retries),
             total_rejections=gov.total_rejections,
             breaker_trips=breaker.trips if breaker is not None else 0,
             breaker_reopens=breaker.reopens if breaker is not None else 0,
@@ -257,7 +252,6 @@ def run_amoeba(
             peak_queue_depth_serverless=fg_state.peak_queue_depth,
             peak_queue_depth_iaas=fg.iaas.peak_queue_depth,
             brownout_periods=fg.controller.brownout_periods,
-            preemptions=dict(fg.metrics.preemptions),
             surge_periods=fg.controller.surge_periods,
         )
     return RunResult(

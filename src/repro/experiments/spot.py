@@ -192,7 +192,7 @@ def spot_sweep(
         savings = 1.0 - cost / base if base > 0 else 0.0
         overload = result.overload
         assert overload is not None
-        preempt = overload.preemptions
+        preempt = fg.metrics.counters["preemptions"]
         faults = result.faults
         rows.append(
             [
@@ -201,10 +201,10 @@ def spot_sweep(
                 mode,
                 fg.metrics.violation_fraction,
                 fg.metrics.violation_fraction_with_failures,
-                preempt.get("noticed", 0),
-                preempt.get("drained", 0),
-                preempt.get("killed_inflight", 0),
-                preempt.get("replaced", 0),
+                preempt["noticed"],
+                preempt["drained"],
+                preempt["killed_inflight"],
+                preempt["replaced"],
                 faults.preemption_switches if faults is not None else 0,
                 overload.surge_periods,
                 cost,

@@ -16,7 +16,7 @@ Resilience mechanics (the point of this module):
   :class:`~repro.graph.retry.RetryPolicy`; deadline-aware give-up means
   no retry is issued once the remaining budget cannot cover one more
   downstream attempt.  Outcomes land in the node's
-  ``ServiceMetrics.retries`` family.
+  ``ServiceMetrics.counters["retries"]`` family.
 * **Graph-aware backpressure** — a dispatch toward a node whose breaker
   is OPEN (brownout) is shed at the edge, before the query enters the
   node's queue: the cascade dies at its origin edge instead of
@@ -31,7 +31,7 @@ from repro.core.runtime import ManagedService
 from repro.graph.retry import RetryPolicy
 from repro.graph.topology import GraphEdge, GraphTopology
 from repro.sim import Environment
-from repro.telemetry import RETRY_KINDS
+from repro.telemetry import COUNTER_FAMILIES
 from repro.workloads import Query
 
 __all__ = ["CallGraphOrchestrator", "GraphStats"]
@@ -70,8 +70,6 @@ class GraphStats:
         self.failed_by_node: Dict[str, int] = {}
         #: dispatches shed at an edge because the target was browned out
         self.backpressure_sheds: Dict[str, int] = {}
-        #: retries issued per node
-        self.retries_by_node: Dict[str, int] = {}
 
 
 class CallGraphOrchestrator:
@@ -185,16 +183,15 @@ class CallGraphOrchestrator:
         reason = self.retry.give_up_reason(attempts, remaining, attempt_cost)
         metrics = self.services[node].metrics
         if reason is None:
-            metrics.record_retry("attempted")
-            self.stats.retries_by_node[node] = self.stats.retries_by_node.get(node, 0) + 1
+            metrics.count("retries", "attempted")
             backoff = self.retry.backoff_s * attempts
             self.env.schedule_callback(backoff, lambda: self._retry(node, state, via))
             return
-        assert reason in RETRY_KINDS
+        assert reason in COUNTER_FAMILIES["retries"]
         if attempts > 1 or reason != "exhausted":
             # "exhausted" after a single allowed attempt is just a
             # no-retry policy doing nothing; don't count it as give-up
-            metrics.record_retry(reason)
+            metrics.count("retries", reason)
         self._fail_request(node, state)
 
     def _retry(self, node: str, state: _RequestState, via: Optional[GraphEdge]) -> None:

@@ -67,7 +67,7 @@ class RetryPolicy:
         remaining end-to-end budget (None = no deadline attached) and
         ``attempt_cost`` the critical-path cost of one more attempt at
         this node (service + downstream reservation).  Returns a
-        ``RETRY_KINDS`` name: ``"exhausted"`` when the attempt cap is
+        ``retries`` label of :data:`~repro.telemetry.COUNTER_FAMILIES`: ``"exhausted"`` when the attempt cap is
         spent, ``"deadline_abandoned"`` when the budget cannot cover
         another attempt.
         """

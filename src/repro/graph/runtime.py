@@ -26,7 +26,7 @@ from repro.core.runtime import ManagedService
 from repro.graph.budget import downstream_reservation, node_costs, node_qos_targets
 from repro.graph.orchestrator import CallGraphOrchestrator
 from repro.graph.scenario import GraphScenario, GraphSummary
-from repro.telemetry import RETRY_KINDS
+from repro.telemetry import COUNTER_FAMILIES
 from repro.workloads import BurstTrace, ConstantTrace, LoadGenerator
 
 __all__ = ["GraphRuntime"]
@@ -103,9 +103,9 @@ class GraphRuntime:
     def summary(self) -> GraphSummary:
         """End-to-end accounting after :meth:`run`."""
         stats = self.orchestrator.stats
-        retries = {kind: 0 for kind in RETRY_KINDS}
+        retries = dict.fromkeys(COUNTER_FAMILIES["retries"], 0)
         for managed in self.services.values():
-            for kind, count in managed.metrics.retries.items():
+            for kind, count in managed.metrics.counters["retries"].items():
                 retries[kind] += count
         return GraphSummary(
             e2e_target=self.scenario.e2e_target,

@@ -100,7 +100,7 @@ class GraphSummary:
     #: (tuple of floats — the unit the hex-identity gates compare)
     latencies: Tuple[float, ...]
     failed_by_node: Dict[str, int] = field(default_factory=dict)
-    #: aggregated ServiceMetrics retry family over all nodes
+    #: ``counters["retries"]`` summed over every node's ServiceMetrics
     retries: Dict[str, int] = field(default_factory=dict)
     #: per-edge dispatches shed because the target node was browned out
     backpressure_sheds: Dict[str, int] = field(default_factory=dict)

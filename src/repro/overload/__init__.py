@@ -21,12 +21,11 @@ is bit-identical to running without the layer at all.
 from repro.overload.admission import conditional_wait, meets_deadline, predicted_sojourn
 from repro.overload.breaker import BreakerState, CircuitBreaker
 from repro.overload.governor import OverloadGovernor
-from repro.overload.policy import DROP_REASONS, OverloadPolicy
+from repro.overload.policy import OverloadPolicy
 
 __all__ = [
     "BreakerState",
     "CircuitBreaker",
-    "DROP_REASONS",
     "OverloadGovernor",
     "OverloadPolicy",
     "conditional_wait",

@@ -15,13 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-#: Canonical drop-reason family shared by telemetry and the reports:
-#: ``crash`` (retry exhaustion, PR 3 fault layer), ``admission`` (rejected
-#: on arrival), ``shed`` (queue wait blew the budget), ``breaker``
-#: (brownout drop-tail), ``preempted`` (killed in-flight when the cloud
-#: reclaimed a spot VM share).
-DROP_REASONS = ("crash", "admission", "shed", "breaker", "preempted")
-
 
 @dataclass(frozen=True)
 class OverloadPolicy:

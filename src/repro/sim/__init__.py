@@ -21,10 +21,9 @@ Design notes (see DESIGN.md §6):
 from repro.sim.environment import Environment
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 from repro.sim.stats import (
-    Histogram,
     OnlineStats,
     P2Quantile,
     ReservoirSample,
@@ -37,16 +36,13 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "Histogram",
     "Interrupt",
     "OnlineStats",
     "P2Quantile",
-    "PriorityResource",
     "Process",
     "ReservoirSample",
     "Resource",
     "RngRegistry",
-    "Store",
     "TimeSeries",
     "TimeWeightedStats",
     "Timeout",

@@ -9,7 +9,6 @@ These helpers keep the accounting O(1) per observation:
   Chlamtac 1985): a single quantile in O(1) memory.
 * :class:`ReservoirSample` — uniform fixed-size sample, for CDF plots
   where we *do* want a (bounded) empirical distribution.
-* :class:`Histogram` — fixed-bin counts with overflow tracking.
 * :class:`TimeWeightedStats` — integrates a piecewise-constant signal
   over simulated time (utilization, container counts, memory in use).
 * :class:`TimeSeries` — decimating recorder of (t, value) pairs for the
@@ -24,7 +23,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "Histogram",
     "OnlineStats",
     "P2Quantile",
     "ReservoirSample",
@@ -211,44 +209,6 @@ class ReservoirSample:
             return np.full(len(grid), math.nan)
         data = np.sort(np.asarray(self._buf, dtype=float))
         return np.searchsorted(data, np.asarray(grid, dtype=float), side="right") / data.size
-
-
-class Histogram:
-    """Fixed-width bins over [lo, hi) with underflow/overflow counters."""
-
-    def __init__(self, lo: float, hi: float, bins: int) -> None:
-        if hi <= lo:
-            raise ValueError(f"empty range [{lo}, {hi})")
-        if bins < 1:
-            raise ValueError(f"bins must be >= 1, got {bins}")
-        self.lo, self.hi, self.bins = float(lo), float(hi), int(bins)
-        self._width = (hi - lo) / bins
-        self.counts = np.zeros(bins, dtype=np.int64)
-        self.underflow = 0
-        self.overflow = 0
-
-    def add(self, x: float) -> None:
-        """Count one observation."""
-        if x < self.lo:
-            self.underflow += 1
-        elif x >= self.hi:
-            self.overflow += 1
-        else:
-            idx = int((x - self.lo) / self._width)
-            if idx >= self.bins:
-                # x just below hi can round up to the phantom bin when
-                # (hi - lo) / bins is not exact (e.g. lo=0, hi=3.3, bins=6)
-                idx = self.bins - 1
-            self.counts[idx] += 1
-
-    @property
-    def n(self) -> int:
-        """Total observations, including under/overflow."""
-        return int(self.counts.sum()) + self.underflow + self.overflow
-
-    def edges(self) -> np.ndarray:
-        """Bin edges (length bins + 1)."""
-        return np.linspace(self.lo, self.hi, self.bins + 1)
 
 
 class TimeWeightedStats:

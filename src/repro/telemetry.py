@@ -2,8 +2,9 @@
 
 Both platforms (and the Amoeba engine, which straddles them) record the
 same things for each service: end-to-end latencies, QoS violations,
-latency-stage breakdowns, arrival times for load estimation, and which
-platform served each query.  Keeping this in one class means Fig. 10's
+latency-stage breakdowns, arrival times for load estimation, which
+platform served each query, and the labelled outcome counters of
+:data:`COUNTER_FAMILIES` (drops, retries, preemptions).  Keeping this in one class means Fig. 10's
 CDFs, Fig. 4's breakdowns, and the controller's load signal all read from
 the same bookkeeping regardless of deployment mode.
 """
@@ -15,14 +16,11 @@ from typing import Deque, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.overload import DROP_REASONS
 from repro.sim import OnlineStats, P2Quantile, ReservoirSample
 from repro.workloads import Query
 
 __all__ = [
-    "DROP_REASONS",
-    "PREEMPTION_KINDS",
-    "RETRY_KINDS",
+    "COUNTER_FAMILIES",
     "LoadEstimator",
     "ServiceMetrics",
 ]
@@ -30,19 +28,29 @@ __all__ = [
 #: the latency stages platforms may report in Query.breakdown
 STAGES = ("proc", "queue", "cold", "load", "exec", "post")
 
-#: the unified ``retries{kind}`` counter family, next to ``drops{reason}``:
-#: ``attempted`` (a retry was actually issued), ``exhausted`` (a query
-#: abandoned because its attempt budget ran out), ``deadline_abandoned``
-#: (a retry deterministically given up because the remaining end-to-end
-#: budget could no longer cover a downstream attempt)
-RETRY_KINDS = ("attempted", "exhausted", "deadline_abandoned")
-
-#: the unified ``preemptions{kind}`` counter family for spot reclamation
-#: episodes: ``noticed`` (a reclamation warning was delivered),
-#: ``drained`` (a graceful episode finished with no in-flight casualty),
-#: ``killed_inflight`` (a query died on the reclaimed share — one count
-#: per query), ``replaced`` (an on-demand replacement restored capacity)
-PREEMPTION_KINDS = ("noticed", "drained", "killed_inflight", "replaced")
+#: Every labelled counter family on :class:`ServiceMetrics`, in the
+#: Prometheus ``family{label}`` shape.  Adding a family here is the whole
+#: job: each ``ServiceMetrics`` starts every label at 0, and every run
+#: result carries its metrics.
+#:
+#: * ``drops{reason}`` — user queries that never completed: ``crash``
+#:   (retry exhaustion), ``admission`` (rejected on arrival), ``shed``
+#:   (queue wait blew the budget), ``breaker`` (brownout drop-tail),
+#:   ``preempted`` (killed in flight when a spot share was reclaimed).
+#: * ``retries{kind}`` — ``attempted`` (a retry was issued),
+#:   ``exhausted`` (abandoned after the attempt budget),
+#:   ``deadline_abandoned`` (the remaining end-to-end budget could not
+#:   cover a downstream attempt).
+#: * ``preemptions{kind}`` — spot reclamation episodes: ``noticed`` (a
+#:   warning was delivered), ``drained`` (a graceful episode finished
+#:   with no in-flight casualty), ``killed_inflight`` (one per query that
+#:   died on the reclaimed share), ``replaced`` (on-demand capacity
+#:   restored).
+COUNTER_FAMILIES: Dict[str, Tuple[str, ...]] = {
+    "drops": ("crash", "admission", "shed", "breaker", "preempted"),
+    "retries": ("attempted", "exhausted", "deadline_abandoned"),
+    "preemptions": ("noticed", "drained", "killed_inflight", "replaced"),
+}
 
 
 class LoadEstimator:
@@ -111,19 +119,12 @@ class ServiceMetrics:
         self.recent: Deque[float] = deque(maxlen=128)
         #: sim time of the latest canary completion (stale-telemetry basis)
         self.last_canary_time: Optional[float] = None
-        #: the unified ``retries{kind}`` family: attempted (a retry was
-        #: issued), exhausted (attempt budget spent), deadline_abandoned
-        #: (deterministic deadline-aware give-up)
-        self.retries: Dict[str, int] = {kind: 0 for kind in RETRY_KINDS}
-        #: total dropped user queries (sum over :attr:`drops`)
+        #: total dropped user queries (sum over ``counters["drops"]``)
         self.failed = 0
-        #: the unified ``dropped{reason}`` family: crash (retry
-        #: exhaustion), admission (rejected on arrival), shed (queue
-        #: wait blew the budget), breaker (brownout drop-tail)
-        self.drops: Dict[str, int] = {reason: 0 for reason in DROP_REASONS}
-        #: the unified ``preemptions{kind}`` family (spot reclamation):
-        #: noticed, drained, killed_inflight, replaced
-        self.preemptions: Dict[str, int] = {kind: 0 for kind in PREEMPTION_KINDS}
+        #: the :data:`COUNTER_FAMILIES` registry, every label from 0
+        self.counters: Dict[str, Dict[str, int]] = {
+            family: dict.fromkeys(labels, 0) for family, labels in COUNTER_FAMILIES.items()
+        }
 
     def record_arrival(self, t: float, canary: bool = False) -> None:
         """Register a query submission (canaries excluded from load)."""
@@ -170,46 +171,19 @@ class ServiceMetrics:
             except KeyError:
                 self.served_by[server] = 1
 
-    def record_retry(self, kind: str = "attempted") -> None:
-        """Count one retry event in the ``retries{kind}`` family.
+    def count(self, family: str, label: str) -> None:
+        """Increment ``family{label}`` in :attr:`counters`.
 
-        ``attempted`` for every retry actually issued (crash-retry
-        resubmissions, graph edge retries), ``exhausted`` when a query is
-        abandoned because its attempt budget ran out, and
-        ``deadline_abandoned`` when a deadline-aware policy gives up
-        because the remaining end-to-end budget can no longer cover a
-        downstream attempt.
+        Raises ``ValueError`` for a family or label that
+        :data:`COUNTER_FAMILIES` does not declare.
         """
-        if kind not in self.retries:
-            raise ValueError(f"unknown retry kind {kind!r}")
-        self.retries[kind] += 1
-
-    @property
-    def total_retries(self) -> int:
-        """Sum over the ``retries{kind}`` family."""
-        return sum(self.retries.values())
-
-    def record_preemption(self, kind: str) -> None:
-        """Count one spot-reclamation event in the ``preemptions{kind}`` family.
-
-        ``noticed`` when the cloud delivers a reclamation warning,
-        ``drained`` when a graceful episode completes without killing
-        anything in flight, ``killed_inflight`` per query that dies on
-        the reclaimed share (those queries are also dropped with reason
-        ``preempted``), and ``replaced`` when the on-demand replacement
-        restores the lost capacity.
-        """
-        if kind not in self.preemptions:
-            raise ValueError(f"unknown preemption kind {kind!r}")
-        self.preemptions[kind] += 1
-
-    @property
-    def total_preemption_events(self) -> int:
-        """Sum over the ``preemptions{kind}`` family."""
-        return sum(self.preemptions.values())
+        counts = self.counters.get(family)
+        if counts is None or label not in counts:
+            raise ValueError(f"unknown counter {family}{{{label}}}")
+        counts[label] += 1
 
     def record_drop(self, query: Query, reason: str) -> None:
-        """Count one dropped user query in the ``dropped{reason}`` family.
+        """Count one dropped user query in ``counters["drops"]``.
 
         Dropped queries never reach :meth:`record_completion`; they are
         tallied separately so the latency ledgers stay comparable with
@@ -219,16 +193,12 @@ class ServiceMetrics:
         shadow traffic must not pollute user-facing QoS, mirroring
         :meth:`record_completion`.
         """
-        if reason not in self.drops:
-            raise ValueError(f"unknown drop reason {reason!r}")
+        if reason not in self.counters["drops"]:
+            raise ValueError(f"unknown counter drops{{{reason}}}")
         if query.canary:
             return
-        self.drops[reason] += 1
+        self.count("drops", reason)
         self.failed += 1
-
-    def record_failure(self, query: Query) -> None:
-        """Crash-drop shorthand: a query dropped after its retry budget."""
-        self.record_drop(query, "crash")
 
     @property
     def violation_fraction(self) -> float:

@@ -138,6 +138,6 @@ class TestEmergencyPreemptionSwitch:
         svc = rt.add_service(benchmark("float"), ConstantTrace(25.0), limit=2)
         rt.run(until=600.0)
         assert svc.engine.mode is DeployMode.IAAS
-        assert svc.metrics.preemptions["noticed"] == 1
-        assert svc.metrics.preemptions["replaced"] == 1
-        assert svc.metrics.preemptions["killed_inflight"] == 0
+        assert svc.metrics.counters["preemptions"]["noticed"] == 1
+        assert svc.metrics.counters["preemptions"]["replaced"] == 1
+        assert svc.metrics.counters["preemptions"]["killed_inflight"] == 0

@@ -51,6 +51,9 @@ class TestDeterminismGates:
         zero = run_amoeba(chaos_scenario("matmul", fault_scale=0.0, day=900.0, seed=3))
         faulted = run_amoeba(chaos_scenario("matmul", fault_scale=1.0, day=900.0, seed=3))
         assert faulted.faults is not None and faulted.faults.total_injected > 0
+        # exact counts recorded before the registry refactor
+        assert faulted.faults.injected["query_retries"] == 131
+        assert faulted.faults.injected["queries_dropped"] == 1
         assert _latency_hex(faulted) != _latency_hex(zero)
 
 

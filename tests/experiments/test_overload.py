@@ -41,7 +41,8 @@ class TestDisabledPolicyBitIdentity:
         base = default_scenario("matmul", day=600.0, seed=0)
         wired = run_amoeba(replace(base, overload=OverloadPolicy.disabled()))
         ov = wired.overload
-        assert all(count == 0 for count in ov.drops.values())
+        drops = wired.services["matmul"].metrics.counters["drops"]
+        assert all(count == 0 for count in drops.values())
         assert ov.total_rejections == 0
         assert ov.breaker_state == "disabled"
         assert ov.breaker_transitions == ()
@@ -71,7 +72,13 @@ class TestOverloadScenario:
         ov = result.overload
         assert ov is not None and ov.policy_enabled
         # enough pressure that protection actually engaged
-        assert sum(ov.drops.values()) > 0
+        assert sum(metrics.counters["drops"].values()) > 0
+        # exact counters recorded before the registry refactor
+        assert metrics.counters == {
+            "drops": {"crash": 0, "admission": 2422, "shed": 25, "breaker": 0, "preempted": 0},
+            "retries": {"attempted": 3, "exhausted": 0, "deadline_abandoned": 0},
+            "preemptions": {"noticed": 0, "drained": 0, "killed_inflight": 0, "replaced": 0},
+        }
         assert metrics.completed > 0
         # admitted queries stay inside QoS under 2.5x offered load + faults
         assert metrics.latency_percentile(95) <= metrics.qos_target

@@ -65,9 +65,9 @@ class TestZeroPreemptionIdentity:
         plain = run_amoeba(sc)
         spotted = run_amoeba(replace(sc, spot=SpotSpec(fraction=0.5)))
         assert _latency_hex(spotted) == _latency_hex(plain)
-        assert plain.overload is not None and spotted.overload is not None
-        assert spotted.overload.preemptions == plain.overload.preemptions
-        assert spotted.overload.preemptions["noticed"] == 0
+        preempt = spotted.services["matmul"].metrics.counters["preemptions"]
+        assert preempt == plain.services["matmul"].metrics.counters["preemptions"]
+        assert preempt["noticed"] == 0
 
     def test_fleet_member_scenario(self):
         _, sc = fleet_scenarios(services=1, day=300.0, seed=0)[0]
@@ -112,9 +112,20 @@ class TestStormGate:
         hardkill = runs["hardkill"].services["matmul"].metrics
         assert graceful.violation_fraction_with_failures <= GRACEFUL_VIOLATION_BOUND
         assert hardkill.violation_fraction_with_failures > HARDKILL_VIOLATION_FLOOR
-        assert graceful.preemptions["noticed"] == 1
-        assert graceful.preemptions["killed_inflight"] == 0
-        assert hardkill.preemptions["killed_inflight"] >= 1
+        assert graceful.counters["preemptions"]["noticed"] == 1
+        assert graceful.counters["preemptions"]["killed_inflight"] == 0
+        assert hardkill.counters["preemptions"]["killed_inflight"] >= 1
+        # exact counters recorded before the registry refactor
+        assert graceful.counters == {
+            "drops": {"crash": 0, "admission": 0, "shed": 0, "breaker": 0, "preempted": 0},
+            "retries": {"attempted": 0, "exhausted": 0, "deadline_abandoned": 0},
+            "preemptions": {"noticed": 1, "drained": 1, "killed_inflight": 0, "replaced": 1},
+        }
+        assert hardkill.counters == {
+            "drops": {"crash": 0, "admission": 0, "shed": 0, "breaker": 0, "preempted": 3},
+            "retries": {"attempted": 0, "exhausted": 0, "deadline_abandoned": 0},
+            "preemptions": {"noticed": 0, "drained": 0, "killed_inflight": 3, "replaced": 1},
+        }
 
     def test_worker_count_matrix_is_hex_invariant(self):
         serial = preemption_comparison(workers=1, cache=False)
@@ -125,7 +136,7 @@ class TestStormGate:
             assert [x.hex() for x in a.latencies.values()] == [
                 x.hex() for x in b.latencies.values()
             ]
-            assert a.preemptions == b.preemptions
+            assert a.counters["preemptions"] == b.counters["preemptions"]
 
 
 class TestSpotSweep:

@@ -54,6 +54,13 @@ class TestCascadeDeterminism:
         for a, b in zip(serial, fanned):
             assert _graph_hexes(a) == _graph_hexes(b)
             assert a.graph.retries == b.graph.retries
+        # exact budgeted/naive retries recorded before the registry refactor
+        assert serial[0].graph.retries == {
+            "attempted": 188, "exhausted": 85, "deadline_abandoned": 142
+        }
+        assert serial[1].graph.retries == {
+            "attempted": 1080, "exhausted": 0, "deadline_abandoned": 0
+        }
 
     def test_cascade_machinery_actually_engages(self):
         # the brownout must provoke retries, give-ups and backpressure —

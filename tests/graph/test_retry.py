@@ -48,6 +48,7 @@ def test_no_deadline_means_only_the_cap_stops_retries():
 
 
 def test_give_up_reasons_are_telemetry_kinds():
-    from repro.telemetry import RETRY_KINDS
+    from repro.telemetry import COUNTER_FAMILIES
 
-    assert "exhausted" in RETRY_KINDS and "deadline_abandoned" in RETRY_KINDS
+    kinds = COUNTER_FAMILIES["retries"]
+    assert "exhausted" in kinds and "deadline_abandoned" in kinds

@@ -52,7 +52,7 @@ class TestAdmission:
         env.run(until=0.05)  # burst now queued on the worker slots
         late = submit(env, svc, n=3)
         assert svc.rejected == 3
-        assert metrics.drops["admission"] == 3
+        assert metrics.counters["drops"]["admission"] == 3
         assert gov.rejections["admission"] == 3
         for q in late:
             assert q.failed and q.served_by == "iaas"
@@ -63,7 +63,7 @@ class TestAdmission:
         submit(env, svc, n=40)
         env.run(until=0.05)
         submit(env, svc, n=5)
-        assert metrics.drops["admission"] >= 1
+        assert metrics.counters["drops"]["admission"] >= 1
         # admitted in-flight work is unaffected by the rejections
         env.run(until=60.0)
         assert metrics.completed > 0
@@ -86,7 +86,7 @@ class TestShedding:
         queries = submit(env, svc, n=60)  # ~0.08 s exec vs a 0.15 s budget
         env.run(until=60.0)
         assert svc.shed >= 1
-        assert metrics.drops["shed"] == svc.shed
+        assert metrics.counters["drops"]["shed"] == svc.shed
         assert gov.rejections["shed"] == svc.shed
         shed = [q for q in queries if q.failed]
         assert len(shed) == svc.shed

@@ -95,7 +95,7 @@ class TestZeroProbIsInert:
         drive(env, svc, ready, 50)
         env.run(until=600.0)
         assert not svc.preempted
-        assert metrics.total_preemption_events == 0
+        assert sum(metrics.counters["preemptions"].values()) == 0
 
     def test_spot_rental_with_zero_prob_is_bit_identical_to_on_demand(self):
         def run(spot, plan):
@@ -121,11 +121,11 @@ class TestGracefulReclamation:
         drive(env, svc, ready, 400, gap=0.5)
         env.run(until=600.0)
         assert svc.preempted and svc.replaced
-        assert metrics.preemptions["noticed"] == 1
-        assert metrics.preemptions["drained"] == 1
-        assert metrics.preemptions["killed_inflight"] == 0
-        assert metrics.preemptions["replaced"] == 1
-        assert metrics.drops.get("preempted", 0) == 0
+        assert metrics.counters["preemptions"]["noticed"] == 1
+        assert metrics.counters["preemptions"]["drained"] == 1
+        assert metrics.counters["preemptions"]["killed_inflight"] == 0
+        assert metrics.counters["preemptions"]["replaced"] == 1
+        assert metrics.counters["drops"]["preempted"] == 0
         assert metrics.failed == 0
         # conservation: everything submitted either completed or is in flight
         assert metrics.completed + svc.in_flight == metrics.load.total
@@ -148,8 +148,8 @@ class TestGracefulReclamation:
         drive(env, svc, ready, 400, gap=0.5)
         env.run(until=1200.0)
         # prob=1.0 at a 5s cadence would re-preempt every check otherwise
-        assert metrics.preemptions["noticed"] == 1
-        assert metrics.preemptions["replaced"] == 1
+        assert metrics.counters["preemptions"]["noticed"] == 1
+        assert metrics.counters["preemptions"]["replaced"] == 1
 
 
 class TestHardKill:
@@ -164,12 +164,13 @@ class TestHardKill:
         drive(env, svc, ready, 4 * svc.sizing.workers, gap=0.0, start=4.9)
         env.run(until=600.0)
         assert svc.preempted and svc.replaced
-        assert metrics.preemptions["noticed"] == 0
-        assert metrics.preemptions["drained"] == 0
-        assert metrics.preemptions["killed_inflight"] >= 1
-        assert metrics.preemptions["replaced"] == 1
-        assert metrics.drops["preempted"] == metrics.preemptions["killed_inflight"]
-        assert metrics.failed == metrics.preemptions["killed_inflight"]
+        preempt = metrics.counters["preemptions"]
+        assert preempt["noticed"] == 0
+        assert preempt["drained"] == 0
+        assert preempt["killed_inflight"] >= 1
+        assert preempt["replaced"] == 1
+        assert metrics.counters["drops"]["preempted"] == preempt["killed_inflight"]
+        assert metrics.failed == preempt["killed_inflight"]
         # conservation holds even through the kills
         assert metrics.completed + metrics.failed + svc.in_flight == metrics.load.total
 
@@ -196,7 +197,7 @@ class TestDeterminism:
             drive(env, svc, ready, 300, gap=0.5)
             env.run(until=600.0)
             return (
-                dict(metrics.preemptions),
+                dict(metrics.counters["preemptions"]),
                 [x.hex() for x in metrics.latencies.values()],
             )
 

@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.overload import DROP_REASONS, OverloadPolicy
+from repro.overload import OverloadPolicy
+from repro.telemetry import COUNTER_FAMILIES
 
 
 class TestValidation:
@@ -71,4 +72,4 @@ class TestHelpers:
         assert tightened.enabled
 
     def test_drop_reason_family_is_canonical(self):
-        assert DROP_REASONS == ("crash", "admission", "shed", "breaker", "preempted")
+        assert COUNTER_FAMILIES["drops"] == ("crash", "admission", "shed", "breaker", "preempted")

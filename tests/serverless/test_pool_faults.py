@@ -78,8 +78,8 @@ class TestCrashFaults:
         env.run(until=60.0)
         assert q.t_complete is not None and not q.failed
         assert q.attempts == 1
-        assert metrics.retries["attempted"] == 1
-        assert metrics.total_retries == 1
+        assert metrics.counters["retries"]["attempted"] == 1
+        assert sum(metrics.counters["retries"].values()) == 1
         assert metrics.completed == 1
         assert faults.stats.query_retries == 1
         assert faults.stats.queries_dropped == 0
@@ -92,8 +92,8 @@ class TestCrashFaults:
         env.run(until=120.0)
         assert q.failed
         assert q.attempts == 2  # initial + one retry, both crashed
-        assert metrics.retries["attempted"] == 1
-        assert metrics.retries["exhausted"] == 1
+        assert metrics.counters["retries"]["attempted"] == 1
+        assert metrics.counters["retries"]["exhausted"] == 1
         assert metrics.failed == 1
         assert metrics.completed == 0  # drops never pollute the latency ledgers
         assert metrics.violation_fraction_with_failures == 1.0

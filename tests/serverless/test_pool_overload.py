@@ -59,7 +59,7 @@ class TestAdmission:
         submit(env, platform, "float", n=6)
         env.run(until=0.5)  # backlog now sits in the bounded queue
         late = submit(env, platform, "float", n=3)
-        assert metrics.drops["admission"] == 3
+        assert metrics.counters["drops"]["admission"] == 3
         assert gov.rejections["admission"] == 3
         for q in late:
             assert q.failed and q.served_by == "serverless"
@@ -75,7 +75,7 @@ class TestAdmission:
         (rejected,) = submit(env, platform, "float", n=1)
         # one queued ahead on a single server: predicted sojourn breaks QoS
         assert rejected.failed
-        assert metrics.drops["admission"] == 1
+        assert metrics.counters["drops"]["admission"] == 1
 
     def test_admitted_queries_still_complete(self):
         policy = OverloadPolicy(breaker_enabled=False)
@@ -88,8 +88,8 @@ class TestAdmission:
         submit(env, platform, "float", n=2)
         env.run(until=30.0)
         assert metrics.completed == 2
-        assert metrics.drops["admission"] == 0
-        assert metrics.drops["shed"] == 0
+        assert metrics.counters["drops"]["admission"] == 0
+        assert metrics.counters["drops"]["shed"] == 0
 
 
 class TestShedding:
@@ -102,8 +102,8 @@ class TestShedding:
         metrics, gov = register(platform, benchmark("float"), policy=policy, limit=1)
         queries = submit(env, platform, "float", n=4)
         env.run(until=30.0)
-        assert metrics.drops["shed"] >= 1
-        assert gov.rejections["shed"] == metrics.drops["shed"]
+        assert metrics.counters["drops"]["shed"] >= 1
+        assert gov.rejections["shed"] == metrics.counters["drops"]["shed"]
         shed = [q for q in queries if q.failed]
         assert shed
         for q in shed:
@@ -117,7 +117,7 @@ class TestShedding:
         )
         submit(env, platform, "float", n=4)
         env.run(until=60.0)
-        assert all(count == 0 for count in metrics.drops.values())
+        assert all(count == 0 for count in metrics.counters["drops"].values())
         assert metrics.completed == 4
 
 

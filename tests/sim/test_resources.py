@@ -1,8 +1,8 @@
-"""Resource / PriorityResource / Store semantics."""
+"""Resource semantics."""
 
 import pytest
 
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Resource
 
 
 def test_resource_capacity_validation(env):
@@ -61,92 +61,3 @@ def test_resize_grants_waiters(env):
     assert not waiting.triggered
     res.resize(2)
     assert waiting.triggered
-
-
-def test_priority_resource_orders_waiters(env):
-    res = PriorityResource(env, capacity=1)
-    held = res.request(priority=0)
-    low = res.request(priority=5)
-    high = res.request(priority=1)
-    res.release(held)
-    assert high.triggered
-    assert not low.triggered
-
-
-def test_priority_resource_fifo_within_level(env):
-    res = PriorityResource(env, capacity=1)
-    held = res.request()
-    first = res.request(priority=1)
-    second = res.request(priority=1)
-    res.release(held)
-    assert first.triggered and not second.triggered
-
-
-def test_priority_release_queued_request(env):
-    res = PriorityResource(env, capacity=1)
-    held = res.request()
-    queued = res.request(priority=2)
-    res.release(queued)
-    assert res.queue_length == 0
-    res.release(held)
-
-
-def test_store_put_get_fifo(env):
-    store = Store(env)
-    store.put("a")
-    store.put("b")
-    g1, g2 = store.get(), store.get()
-    assert g1.value == "a"
-    assert g2.value == "b"
-
-
-def test_store_get_blocks_until_put(env):
-    store = Store(env)
-    got = []
-
-    def consumer(env):
-        item = yield store.get()
-        got.append((env.now, item))
-
-    env.process(consumer(env))
-
-    def producer(env):
-        yield env.timeout(5.0)
-        yield store.put("late")
-
-    env.process(producer(env))
-    env.run()
-    assert got == [(5.0, "late")]
-
-
-def test_store_capacity_blocks_put(env):
-    store = Store(env, capacity=1)
-    p1 = store.put("x")
-    p2 = store.put("y")
-    assert p1.triggered
-    assert not p2.triggered
-    g = store.get()
-    assert g.value == "x"
-    assert p2.triggered  # slot freed
-
-
-def test_store_capacity_validation(env):
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
-
-
-def test_store_cancel_get(env):
-    store = Store(env)
-    g = store.get()
-    assert store.cancel_get(g)
-    assert not store.cancel_get(g)  # already removed
-    store.put("x")
-    assert not g.triggered  # cancelled getter never fires
-    assert len(store) == 1
-
-
-def test_store_items_snapshot(env):
-    store = Store(env)
-    for i in range(3):
-        store.put(i)
-    assert store.items == (0, 1, 2)

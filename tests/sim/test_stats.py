@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.stats import (
-    Histogram,
     OnlineStats,
     P2Quantile,
     ReservoirSample,
@@ -130,47 +129,6 @@ class TestReservoirSample:
         f = r.cdf(grid)
         assert np.all(np.diff(f) >= 0)
         assert f[0] >= 0.0 and f[-1] <= 1.0
-
-
-class TestHistogram:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Histogram(1.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            Histogram(0.0, 1.0, 0)
-
-    def test_binning(self):
-        h = Histogram(0.0, 10.0, 10)
-        for x in (0.5, 1.5, 1.7, 9.99):
-            h.add(x)
-        assert h.counts[0] == 1
-        assert h.counts[1] == 2
-        assert h.counts[9] == 1
-
-    def test_overflow_underflow(self):
-        h = Histogram(0.0, 1.0, 4)
-        h.add(-0.1)
-        h.add(1.0)  # hi edge is exclusive
-        h.add(5.0)
-        assert h.underflow == 1
-        assert h.overflow == 2
-        assert h.n == 3
-
-    def test_edges(self):
-        h = Histogram(0.0, 1.0, 4)
-        assert np.allclose(h.edges(), [0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_top_edge_rounding_clamps_to_last_bin(self):
-        # (hi - lo) / bins is inexact here, so int((x - lo) / width) lands
-        # on the phantom bin ``bins`` for x just below hi (this raised
-        # IndexError before the clamp)
-        h = Histogram(0.0, 3.3, 6)
-        x = math.nextafter(3.3, 0.0)
-        assert x < h.hi
-        h.add(x)
-        assert h.overflow == 0
-        assert h.counts[5] == 1
-        assert h.n == 1
 
 
 class TestTimeWeightedStats:

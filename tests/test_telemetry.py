@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.telemetry import LoadEstimator, ServiceMetrics
+from repro.telemetry import COUNTER_FAMILIES, LoadEstimator, ServiceMetrics
 from repro.workloads.loadgen import Query
 
 
@@ -117,6 +117,38 @@ class TestServiceMetrics:
         m.record_arrival(0.0)
         m.record_arrival(1.0, canary=True)  # excluded from load
         assert m.load.total == 1
+
+
+class TestCounterRegistry:
+    def test_every_family_label_starts_at_zero(self):
+        m = ServiceMetrics("s", qos_target=1.0)
+        assert m.counters == {
+            family: {label: 0 for label in labels} for family, labels in COUNTER_FAMILIES.items()
+        }
+
+    def test_count_increments_one_label(self):
+        m = ServiceMetrics("s", qos_target=1.0)
+        m.count("retries", "attempted")
+        m.count("retries", "attempted")
+        assert m.counters["retries"] == {"attempted": 2, "exhausted": 0, "deadline_abandoned": 0}
+
+    def test_count_rejects_unknown_family(self):
+        with pytest.raises(ValueError):
+            ServiceMetrics("s", qos_target=1.0).count("timeouts", "attempted")
+
+    def test_count_rejects_unknown_label(self):
+        with pytest.raises(ValueError):
+            ServiceMetrics("s", qos_target=1.0).count("retries", "preempted")
+
+    def test_record_drop_skips_canaries(self):
+        m = ServiceMetrics("s", qos_target=1.0)
+        m.record_drop(make_query(1.0, canary=True), "shed")
+        assert all(n == 0 for n in m.counters["drops"].values())
+        assert m.failed == 0
+
+    def test_record_drop_rejects_unknown_reason(self):
+        with pytest.raises(ValueError):
+            ServiceMetrics("s", qos_target=1.0).record_drop(make_query(1.0), "timeout")
 
 
 class TestLatencyPercentileHonesty:
