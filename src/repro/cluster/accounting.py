@@ -85,10 +85,12 @@ class UsageLedger:
         if cores < 0 or memory_mb < 0:
             raise ValueError("acquire() amounts must be >= 0")
         now = self.env.now
-        self._cpu.adjust(now, cores)
-        self._mem.adjust(now, memory_mb)
-        self.cpu_timeline.record(now, self._cpu.level)
-        self.mem_timeline.record(now, self._mem.level)
+        cpu, mem = self._cpu, self._mem
+        # set(level + x) is adjust(x) minus a call frame: same arithmetic
+        cpu.set(now, cpu._level + cores)
+        mem.set(now, mem._level + memory_mb)
+        self.cpu_timeline.record(now, cpu._level)
+        self.mem_timeline.record(now, mem._level)
 
     def release(self, cores: float, memory_mb: float) -> None:
         """Stop occupying ``cores`` and ``memory_mb`` as of now."""

@@ -29,6 +29,8 @@ rate)`` — one O(N) scan per rebalance, one timer per machine.  The
 previous timer is cancelled through the kernel's event-cancellation path
 rather than left to fire as a stale generation-guarded no-op, which keeps
 heap growth O(1) amortized per query instead of O(active set) per change.
+A finished execution's completion event fires in place inside the timer's
+pop, costing no heap entry of its own.
 """
 
 from __future__ import annotations
@@ -211,7 +213,7 @@ class _CompletionTimer(Event):
         self._cancelled = False
         self.machine = machine
         env._seq += 1
-        heapq.heappush(env._heap, (env._now + delay, 1, env._seq, self))
+        heapq.heappush(env._heap, (env.now + delay, 1, env._seq, self))
 
     def _run_callbacks(self) -> None:
         self._processed = True
@@ -315,21 +317,31 @@ class MachineModel:
         # clamp accumulated float residue so an empty machine reads
         # exactly zero pressure (additions and removals of the same
         # demands do not cancel bitwise when interleaved)
+        d = self._demand_totals
         if not self._active and not self._background_count:
             # provably empty: snap exactly (the epsilon clamp below misses
             # residues of 1e-9 and larger, e.g. after a 1e-9 demand leaves)
-            self._demand_totals[0] = self._demand_totals[1] = self._demand_totals[2] = 0.0
-            self._memory_in_use = 0.0
+            d[0] = d[1] = d[2] = 0.0
+            mem = self._memory_in_use = 0.0
         else:
-            for i in range(3):
-                if abs(self._demand_totals[i]) < 1e-9:
-                    self._demand_totals[i] = 0.0
-            if abs(self._memory_in_use) < 1e-9:
-                self._memory_in_use = 0.0
-        pressures = self.pressures()
+            # `-eps < x < eps` is `abs(x) < eps` without the call
+            if -1e-9 < d[0] < 1e-9:
+                d[0] = 0.0
+            if -1e-9 < d[1] < 1e-9:
+                d[1] = 0.0
+            if -1e-9 < d[2] < 1e-9:
+                d[2] = 0.0
+            mem = self._memory_in_use
+            if -1e-9 < mem < 1e-9:
+                mem = self._memory_in_use = 0.0
+        # pressures() inlined: total demand / capacity per axis
+        c = self.capacity
+        p0 = d[0] / c[0]
+        p1 = d[1] / c[1]
+        p2 = d[2] / c[2]
         cfg = self.config
         # single O(N) pass: refresh every rate, find the earliest finisher.
-        # All executions share `pressures`, so between set changes each
+        # All executions share the pressures, so between set changes each
         # runs at a fixed rate and min(work_left / rate) IS the next
         # completion — no per-execution timers needed.  Strict `<` keeps
         # the tie-break on insertion (eid) order, matching the FIFO order
@@ -343,13 +355,13 @@ class MachineModel:
         # bit-identical to cfg.slowdown()'s.
         # g() unrolled per axis (mirrors ContentionConfig.g bit for bit)
         lin, quad, knee, cap = cfg.linear, cfg.quad, cfg.knee, cfg.pressure_cap
-        p = min(pressures[0], cap)
+        p = min(p0, cap)
         e = p - knee
         g0 = lin * p + (quad * e * e if e > 0 else 0.0)
-        p = min(pressures[1], cap)
+        p = min(p1, cap)
         e = p - knee
         g1 = lin * p + (quad * e * e if e > 0 else 0.0)
-        p = min(pressures[2], cap)
+        p = min(p2, cap)
         e = p - knee
         g2 = lin * p + (quad * e * e if e > 0 else 0.0)
         co_overlap = 1.0 - cfg.overlap
@@ -395,7 +407,6 @@ class MachineModel:
         # accounting: a set() with an unchanged level is a mathematical
         # no-op for a piecewise-constant signal (the integral accrues
         # lazily), so skip the call for axes that did not move
-        d = self._demand_totals
         s = self.cpu_in_use
         if s._level != d[0]:
             s.set(now, d[0])
@@ -406,10 +417,10 @@ class MachineModel:
         if s._level != d[2]:
             s.set(now, d[2])
         s = self.memory_stat
-        if s._level != self._memory_in_use:
-            s.set(now, self._memory_in_use)
+        if s._level != mem:
+            s.set(now, mem)
         if self.on_pressure_change is not None:
-            self.on_pressure_change(now, pressures)
+            self.on_pressure_change(now, (p0, p1, p2))
 
     def _on_timer(self) -> None:
         ex = self._timer_ex
@@ -433,7 +444,10 @@ class MachineModel:
         self._memory_in_use -= d.memory_mb
         self._rebalance(now)
         self.completed += 1
-        ex.done.succeed(now - ex.start)
+        # fire in place: the machine is consistent again, so the waiters
+        # (pool dispatch, IaaS _serve, cold start) run now instead of
+        # after a zero-delay heap round trip (ordering: DESIGN.md §6)
+        ex.done._fire(now - ex.start)
 
     # -- background pressure -------------------------------------------------
     def inject_background(self, demand: DemandVector) -> Callable[[], None]:

@@ -74,6 +74,7 @@ class IaaSService:
             config=contention,
         )
         self.workers = Resource(env, capacity=sizing.workers)
+        self._exec_draw = rng.lognormal_sampler(f"iaas-exec/{spec.name}", spec.exec_time, spec.exec_sigma)
         self.state = ServiceState.STOPPED
         self.in_flight = 0
         self.completions = 0
@@ -451,7 +452,7 @@ class IaaSService:
             self.in_flight -= 1
             self._maybe_release()
             return
-        work = self.rng.lognormal_around(f"iaas-exec/{spec.name}", spec.exec_time, spec.exec_sigma)
+        work = self._exec_draw()
         token = next(self._tokens)
         self._active[token] = query
         exec_t = yield self.machine.execute(work, spec.demand, spec.sensitivity)

@@ -14,7 +14,7 @@ Design notes (see DESIGN.md §6):
   hands out named, independently-seeded ``numpy.random.Generator``
   substreams so that experiments are bit-reproducible.
 * Statistics helpers (:mod:`repro.sim.stats`) provide bounded-memory
-  percentile estimation and time-weighted counters used by the resource
+  reservoir percentiles and time-weighted counters used by the resource
   accounting ledgers.
 """
 
@@ -25,7 +25,6 @@ from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 from repro.sim.stats import (
     OnlineStats,
-    P2Quantile,
     ReservoirSample,
     TimeSeries,
     TimeWeightedStats,
@@ -38,7 +37,6 @@ __all__ = [
     "Event",
     "Interrupt",
     "OnlineStats",
-    "P2Quantile",
     "Process",
     "ReservoirSample",
     "Resource",

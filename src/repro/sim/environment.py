@@ -44,23 +44,24 @@ class Environment:
     ----------
     initial_time:
         Starting value of the simulated clock, in seconds.
+
+    Attributes
+    ----------
+    now:
+        Current simulated time in seconds.  A plain attribute, because
+        every event on the hot path reads it; it is read-only by
+        contract and only :meth:`run` and :meth:`step` write it.
     """
 
     #: compaction only kicks in past this heap size (small heaps drain fast)
     _COMPACT_MIN = 64
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        self.now = float(initial_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._cancelled_pending = 0
         self._active_process: Optional[Process] = None
-
-    # -- clock -----------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     # -- scheduling observability ------------------------------------------
     @property
@@ -112,7 +113,7 @@ class Environment:
     def _enqueue(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Insert a triggered event into the heap (kernel-internal)."""
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
+        heapq.heappush(self._heap, (self.now + delay, priority, self._seq, event))
 
     def schedule_callback(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` after ``delay`` simulated seconds.
@@ -168,7 +169,7 @@ class Environment:
         if not self._heap:
             raise EmptySchedule()
         when, _prio, _seq, event = heapq.heappop(self._heap)
-        self._now = when
+        self.now = when
         event._run_callbacks()
         if not event._ok and not event._defused:
             # an unhandled failure escapes the simulation
@@ -196,8 +197,8 @@ class Environment:
             stop_event.callbacks.append(self._stop_on_event)
         else:
             horizon = float(until)
-            if horizon < self._now:
-                raise ValueError(f"run(until={horizon}) is in the past (now={self._now})")
+            if horizon < self.now:
+                raise ValueError(f"run(until={horizon}) is in the past (now={self.now})")
             stop_event = Event(self)
             stop_event._ok = True
             self._seq += 1
@@ -219,7 +220,7 @@ class Environment:
                 if event._cancelled:
                     self._cancelled_pending -= 1
                     continue
-                self._now = when
+                self.now = when
                 event._run_callbacks()
                 if not event._ok and not event._defused:
                     # an unhandled failure escapes the simulation

@@ -5,7 +5,8 @@ An :class:`Event` moves through three states:
 ``pending``      created but not yet triggered; processes may wait on it.
 ``triggered``    a value (or exception) has been attached and the event is
                  sitting in the environment's heap awaiting its timestamp.
-``processed``    the environment has popped it and run its callbacks.
+``processed``    the environment has popped it and run its callbacks (or
+                 the kernel fired it in place, :meth:`Event._fire`).
 
 Processes wait on events by ``yield``-ing them; the environment wires the
 process resumption up as a callback.
@@ -142,7 +143,7 @@ class Event:
         self._value = value
         env = self.env
         env._seq += 1
-        heapq.heappush(env._heap, (env._now + delay, priority, env._seq, self))
+        heapq.heappush(env._heap, (env.now + delay, priority, env._seq, self))
         return self
 
     def fail(self, exception: BaseException, *, delay: float = 0.0, priority: int = 1) -> "Event":
@@ -156,7 +157,7 @@ class Event:
         self._value = exception
         env = self.env
         env._seq += 1
-        heapq.heappush(env._heap, (env._now + delay, priority, env._seq, self))
+        heapq.heappush(env._heap, (env.now + delay, priority, env._seq, self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -168,6 +169,22 @@ class Event:
             self.fail(event._value)
 
     # -- internal --------------------------------------------------------
+    def _fire(self, value: Any = None) -> None:
+        """Succeed with ``value`` and run the callbacks now (kernel-private).
+
+        The in-place form of ``succeed(value)``: the event is triggered and
+        processed at the current instant without the zero-delay heap round
+        trip, so its waiters run inside the caller's frame.  Only for a
+        completion whose caller has finished mutating state before firing
+        (the contention engine's, DESIGN.md §6).
+        """
+        if self._triggered:
+            raise EventAlreadyTriggered(f"{self!r} already triggered")
+        self._triggered = True
+        self._ok = True
+        self._value = value
+        self._run_callbacks()
+
     def _run_callbacks(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
         self._processed = True
@@ -204,7 +221,7 @@ class Timeout(Event):
         self._value = value
         self.delay = float(delay)
         env._seq += 1
-        heapq.heappush(env._heap, (env._now + delay, priority, env._seq, self))
+        heapq.heappush(env._heap, (env.now + delay, priority, env._seq, self))
 
 
 class Callback(Event):
@@ -233,7 +250,7 @@ class Callback(Event):
         self._value = None
         self._fn = fn
         env._seq += 1
-        heapq.heappush(env._heap, (env._now + delay, priority, env._seq, self))
+        heapq.heappush(env._heap, (env.now + delay, priority, env._seq, self))
 
     def _run_callbacks(self) -> None:
         self._processed = True

@@ -17,37 +17,58 @@ components create their RNGs lazily.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict
+from array import array
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 __all__ = ["RngRegistry"]
 
 
+#: draws per block of a :meth:`RngRegistry.lognormal_sampler`
+_SAMPLER_BLOCK = 256
+
+
 class RngRegistry:
-    """Factory for named, independently seeded RNG substreams."""
+    """Factory for named, independently seeded RNG substreams.
+
+    A stream has exactly one consumer: either the generator handed out by
+    :meth:`stream` (which :meth:`exponential`, :meth:`lognormal_around`
+    and :meth:`uniform` draw from) or one :meth:`lognormal_sampler`.
+    Mixing the two on one name raises ``ValueError``, because a sampler
+    draws its stream ahead in blocks.
+    """
 
     def __init__(self, seed: int = 0) -> None:
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         self._seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
+        #: sampler-owned streams: name -> (median, sigma, sampler)
+        self._samplers: Dict[str, Tuple[float, float, Callable[[], float]]] = {}
 
     @property
     def seed(self) -> int:
         """The root seed all substreams are derived from."""
         return self._seed
 
+    def _generator(self, name: str) -> np.random.Generator:
+        # key the SeedSequence on a stable hash of the name so stream
+        # identity does not depend on creation order
+        key = zlib.crc32(name.encode("utf-8"))
+        seq = np.random.SeedSequence(entropy=self._seed, spawn_key=(key,))
+        return np.random.default_rng(seq)
+
     def stream(self, name: str) -> np.random.Generator:
-        """Return the generator for ``name``, creating it on first use."""
+        """Return the generator for ``name``, creating it on first use.
+
+        Raises ``ValueError`` if a :meth:`lognormal_sampler` owns ``name``.
+        """
         gen = self._streams.get(name)
         if gen is None:
-            # key the SeedSequence on a stable hash of the name so stream
-            # identity does not depend on creation order
-            key = zlib.crc32(name.encode("utf-8"))
-            seq = np.random.SeedSequence(entropy=self._seed, spawn_key=(key,))
-            gen = np.random.default_rng(seq)
-            self._streams[name] = gen
+            if name in self._samplers:
+                raise ValueError(f"stream {name!r} is owned by a lognormal sampler")
+            gen = self._streams[name] = self._generator(name)
         return gen
 
     def exponential(self, name: str, mean: float) -> float:
@@ -67,20 +88,42 @@ class RngRegistry:
         return float(median * np.exp(self.stream(name).normal(0.0, sigma)))
 
     def lognormal_sampler(self, name: str, median: float, sigma: float) -> Callable[[], float]:
-        """A zero-argument sampler equivalent to :meth:`lognormal_around`.
+        """A zero-argument sampler of the sequence :meth:`lognormal_around` draws.
 
-        Hot paths call this once and keep the returned callable: each draw
-        then skips the stream-name formatting and registry lookup while
-        producing the bit-identical sequence ``lognormal_around`` would.
+        Hot paths call this once and keep the returned callable.  It draws
+        ``normal(0, sigma)`` in blocks of 256 and serves
+        ``median * exp(block)`` in order, which is bit-identical to the
+        scalar draws one at a time.  The sampler owns stream ``name``:
+        asking again with the same ``(median, sigma)`` returns the same
+        sampler (so two callers interleave on the stream exactly as two
+        scalar draw sites would), and a different ``(median, sigma)``, or
+        a name :meth:`stream` already handed out, raises ``ValueError``.
         """
         if median <= 0:
             raise ValueError(f"median must be positive, got {median}")
-        normal = self.stream(name).normal
+        owned = self._samplers.get(name)
+        if owned is not None:
+            if owned[0] != median or owned[1] != sigma:
+                raise ValueError(
+                    f"stream {name!r} already has a sampler with median={owned[0]}, "
+                    f"sigma={owned[1]}; got median={median}, sigma={sigma}"
+                )
+            return owned[2]
+        if name in self._streams:
+            raise ValueError(f"stream {name!r} was already handed out; a sampler needs its own")
+        normal = self._generator(name).normal
         exp = np.exp
+        # raw doubles (no float objects held), served from the end, so
+        # each block is stored reversed
+        pending = array("d")
 
         def draw() -> float:
-            return float(median * exp(normal(0.0, sigma)))
+            if not pending:
+                block = median * exp(normal(0.0, sigma, _SAMPLER_BLOCK))
+                pending.frombytes(block[::-1].tobytes())
+            return pending.pop()
 
+        self._samplers[name] = (median, sigma, draw)
         return draw
 
     def uniform(self, name: str, low: float, high: float) -> float:

@@ -5,8 +5,6 @@ samples for everything would dominate memory and post-processing time.
 These helpers keep the accounting O(1) per observation:
 
 * :class:`OnlineStats` — Welford mean/variance, min/max, count.
-* :class:`P2Quantile` — the P² streaming quantile estimator (Jain &
-  Chlamtac 1985): a single quantile in O(1) memory.
 * :class:`ReservoirSample` — uniform fixed-size sample, for CDF plots
   where we *do* want a (bounded) empirical distribution.
 * :class:`TimeWeightedStats` — integrates a piecewise-constant signal
@@ -24,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "OnlineStats",
-    "P2Quantile",
     "ReservoirSample",
     "TimeSeries",
     "TimeWeightedStats",
@@ -86,89 +83,6 @@ class OnlineStats:
         out.min = min(self.min, other.min)
         out.max = max(self.max, other.max)
         return out
-
-
-class P2Quantile:
-    """P² single-quantile streaming estimator (O(1) memory).
-
-    Tracks five markers whose heights approximate the ``q`` quantile of
-    everything observed.  Accurate to a few percent for the smooth latency
-    distributions this project produces; where exactness matters (the CDF
-    figures) we use :class:`ReservoirSample` instead.
-    """
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self._heights: list[float] = []
-        self._pos = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5.0]
-        self._incr = [0.0, q / 2, q, (1 + q) / 2, 1.0]
-        self.n = 0
-
-    def add(self, x: float) -> None:
-        """Fold one observation into the marker state."""
-        self.n += 1
-        h = self._heights
-        if len(h) < 5:
-            h.append(x)
-            if len(h) == 5:
-                h.sort()
-            return
-
-        # locate the cell containing x, clamping the extreme markers
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and not (h[k] <= x < h[k + 1]):
-                k += 1
-
-        pos = self._pos
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._incr[i]
-
-        # adjust interior markers toward their desired positions
-        for i in (1, 2, 3):
-            d = self._desired[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (d <= -1.0 and pos[i - 1] - pos[i] < -1.0):
-                step = 1.0 if d > 0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                pos[i] += step
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, pos = self._heights, self._pos
-        return h[i] + d / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + d) * (h[i + 1] - h[i]) / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - d) * (h[i] - h[i - 1]) / (pos[i] - pos[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, pos = self._heights, self._pos
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (pos[j] - pos[i])
-
-    @property
-    def value(self) -> float:
-        """Current quantile estimate (NaN when empty)."""
-        if not self._heights:
-            return math.nan
-        if self.n < 5:
-            srt = sorted(self._heights)
-            idx = min(int(self.q * len(srt)), len(srt) - 1)
-            return srt[idx]
-        return self._heights[2]
 
 
 class ReservoirSample:

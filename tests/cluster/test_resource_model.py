@@ -223,3 +223,34 @@ class TestMachineModel:
         assert len(seen) >= 2  # start + finish
         assert seen[0][1][0] > 0.0
         assert seen[-1][1][0] == pytest.approx(0.0)
+
+
+class TestInPlaceCompletion:
+    """A completion fires its event inside the timer's pop (DESIGN.md §6)."""
+
+    def test_process_resumes_at_the_finish_instant_with_the_stretched_duration(self, env):
+        # alone at pressure 1: slowdown 1 + linear·1 = 2, so 1 s of work takes 2 s
+        m = make_machine(env, cores=1.0, linear=1.0, quad=0.0, overlap=0.0)
+        seen = []
+
+        def waiter(env):
+            seen.append((yield m.execute(1.0, CPU1, SENS_CPU)))
+            seen.append(env.now)
+
+        env.process(waiter(env))
+        env.run()
+        assert seen == [2.0, 2.0]
+        # the process bootstrap and one timer: no completion event of its own
+        assert m.timer_arms == 1
+        assert env.scheduled_total == 2
+
+    def test_same_instant_completions_fire_in_admission_order(self, env):
+        m = make_machine(env, linear=0.0)  # below the knee: every rate is 1
+        fired = []
+        for tag in ("a", "b", "c"):
+            done = m.execute(1.0, CPU1, SENS_CPU)
+            done.callbacks.append(lambda e, tag=tag: fired.append((tag, env.now, e.value, m.active_count)))
+        env.run()
+        # each waiter sees the machine as of its own completion: the later
+        # same-instant finishers are still in flight when it runs
+        assert fired == [("a", 1.0, 1.0, 2), ("b", 1.0, 1.0, 1), ("c", 1.0, 1.0, 0)]

@@ -165,3 +165,17 @@ def test_scheduled_total_is_monotone(env):
     assert env.scheduled_total == base + 2
     ev.cancel()  # cancellation does not un-count the insertion
     assert env.scheduled_total == base + 2
+
+
+def test_now_is_a_plain_attribute_holding_the_popped_time(env):
+    seen = []
+    for t in (0.5, 1.25, 3.0):
+        env.schedule_callback(t, lambda: seen.append(env.now))
+    env.run(until=2.0)
+    assert seen == [0.5, 1.25]
+    assert env.now == 2.0
+    env.step()
+    assert seen == [0.5, 1.25, 3.0]
+    assert env.now == 3.0
+    # an instance attribute, not a property over a private twin
+    assert vars(env)["now"] == 3.0

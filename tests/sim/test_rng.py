@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.rng import RngRegistry
 
@@ -85,3 +87,65 @@ def test_fork_is_deterministic_and_independent():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert not np.array_equal(a1, parent)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    median=st.floats(min_value=1e-3, max_value=1e3),
+    sigma=st.floats(min_value=0.0, max_value=2.0),
+)
+def test_sampler_matches_scalar_draws_bit_for_bit(seed, median, sigma):
+    n = 3 * 256 + 41  # crosses three block boundaries
+    draw = RngRegistry(seed=seed).lognormal_sampler("s", median, sigma)
+    scalar = RngRegistry(seed=seed)
+    got = [draw().hex() for _ in range(n)]
+    want = [scalar.lognormal_around("s", median, sigma).hex() for _ in range(n)]
+    assert got == want
+
+
+class TestSamplerOwnsItsStream:
+    """A block-drawing sampler is its stream's one consumer."""
+
+    def test_identical_request_returns_the_same_sampler(self):
+        reg = RngRegistry(seed=3)
+        assert reg.lognormal_sampler("s", 1.0, 0.2) is reg.lognormal_sampler("s", 1.0, 0.2)
+
+    def test_shared_sampler_interleaves_like_two_scalar_draw_sites(self):
+        reg = RngRegistry(seed=3)
+        first = reg.lognormal_sampler("s", 1.0, 0.2)
+        second = reg.lognormal_sampler("s", 1.0, 0.2)
+        got = [f().hex() for _ in range(300) for f in (first, second)]
+        scalar = RngRegistry(seed=3)
+        want = [scalar.lognormal_around("s", 1.0, 0.2).hex() for _ in range(600)]
+        assert got == want
+
+    @pytest.mark.parametrize("median, sigma", [(2.0, 0.2), (1.0, 0.3)])
+    def test_different_parameters_raise(self, median, sigma):
+        reg = RngRegistry(seed=3)
+        reg.lognormal_sampler("s", 1.0, 0.2)
+        with pytest.raises(ValueError, match="already has a sampler"):
+            reg.lognormal_sampler("s", median, sigma)
+
+    def test_stream_on_a_sampler_name_raises(self):
+        reg = RngRegistry(seed=3)
+        reg.lognormal_sampler("s", 1.0, 0.2)
+        with pytest.raises(ValueError, match="owned by a lognormal sampler"):
+            reg.stream("s")
+
+    def test_lognormal_around_on_a_sampler_name_raises(self):
+        reg = RngRegistry(seed=3)
+        reg.lognormal_sampler("s", 1.0, 0.2)
+        with pytest.raises(ValueError, match="owned by a lognormal sampler"):
+            reg.lognormal_around("s", 1.0, 0.2)
+
+    def test_sampler_on_a_handed_out_stream_raises(self):
+        reg = RngRegistry(seed=3)
+        reg.stream("s")
+        with pytest.raises(ValueError, match="already handed out"):
+            reg.lognormal_sampler("s", 1.0, 0.2)
+
+    def test_other_names_are_unaffected(self):
+        reg = RngRegistry(seed=3)
+        reg.lognormal_sampler("s", 1.0, 0.2)
+        assert reg.lognormal_around("t", 1.0, 0.2) > 0

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.sim.stats import (
     OnlineStats,
-    P2Quantile,
     ReservoirSample,
     TimeSeries,
     TimeWeightedStats,
@@ -59,39 +58,6 @@ class TestOnlineStats:
         a.extend([1.0, 2.0])
         m = a.merge(b)
         assert m.n == 2 and m.mean == 1.5
-
-
-class TestP2Quantile:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-    def test_empty_is_nan(self):
-        assert math.isnan(P2Quantile(0.5).value)
-
-    def test_small_samples_exactish(self):
-        q = P2Quantile(0.5)
-        for x in (5.0, 1.0, 3.0):
-            q.add(x)
-        assert 1.0 <= q.value <= 5.0
-
-    @pytest.mark.parametrize("quantile", [0.5, 0.9, 0.95, 0.99])
-    def test_tracks_known_distribution(self, quantile):
-        rng = np.random.default_rng(42)
-        data = rng.exponential(1.0, size=50000)
-        est = P2Quantile(quantile)
-        for x in data:
-            est.add(float(x))
-        exact = float(np.quantile(data, quantile))
-        assert est.value == pytest.approx(exact, rel=0.06)
-
-    def test_bounded_memory(self):
-        est = P2Quantile(0.95)
-        for x in range(100000):
-            est.add(float(x % 977))
-        assert len(est._heights) == 5
 
 
 class TestReservoirSample:
