@@ -17,9 +17,8 @@ the Python AST, organised as a whole-program framework:
   resolved import graph: layering direction, cycle detection, kernel
   isolation from ``experiments``, and facade enforcement (``model`` +
   ``graph`` + ``rules_arch``);
-* an incremental engine (``engine``) with a content-hash cache, process
-  fan-out, a committed-baseline ratchet (``baseline``) and text/json/
-  SARIF 2.1.0 output (``sarif``);
+* a whole-program engine (``engine``) with a committed-baseline ratchet
+  (``baseline``) and text/json/SARIF 2.1.0 output (``sarif``);
 * ``python -m repro.analysis.lint src tests benchmarks`` lints the repo
   and exits non-zero on any non-baselined violation;
 * each rule carries a fix-it message and traces back to the invariant it

@@ -1,4 +1,4 @@
-"""The incremental whole-program lint engine.
+"""The whole-program lint engine.
 
 Orchestrates everything the CLI exposes:
 
@@ -17,11 +17,6 @@ Orchestrates everything the CLI exposes:
 * **Whole-program pass** — the module table feeds the ARCH layering
   rules (:mod:`repro.analysis.rules_arch`); ARCH findings are not
   inline-suppressible (use the baseline for accepted exceptions).
-* **Incremental cache** — per-file results keyed by content sha256 and
-  a salt over the analyzer's own sources (same pattern as
-  ``repro.experiments.cache``): a warm re-lint of an unchanged tree
-  re-parses nothing, including the ARCH pass, which rebuilds from
-  cached import records.
 * **SIM016** — directives that suppressed nothing become stale-ignore
   warnings (errors under ``--strict-ignores``).
 """
@@ -29,16 +24,13 @@ Orchestrates everything the CLI exposes:
 from __future__ import annotations
 
 import ast
-import concurrent.futures
-import hashlib
 import io
-import json
 import os
 import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.baseline import BaselineEntry, apply_baseline
 from repro.analysis.model import ModuleRecord, collect_imports, module_exports, module_name
@@ -97,8 +89,6 @@ STALE_IGNORE_RULE = Rule(
 #: every rule the engine can emit, in report order
 ALL_RULES: Tuple[Rule, ...] = RULES + FLOW_RULES + (STALE_IGNORE_RULE,) + ARCH_RULES
 
-_CACHE_VERSION = 2
-
 #: compound statements whose suppression span is the *header* only
 #: (directive on the def/if line must not blanket the whole body)
 _COMPOUND_STMTS = (
@@ -125,14 +115,6 @@ class Directive:
     ids: Optional[Tuple[str, ...]]
     used: bool = False
 
-    def to_json(self) -> List[Any]:
-        return [self.line, self.col, list(self.ids) if self.ids is not None else None, self.used]
-
-    @staticmethod
-    def from_json(data: Sequence[Any]) -> "Directive":
-        line, col, ids, used = data
-        return Directive(int(line), int(col), tuple(ids) if ids is not None else None, bool(used))
-
 
 @dataclass
 class FileAnalysis:
@@ -145,32 +127,6 @@ class FileAnalysis:
     suppressed: Dict[str, int] = field(default_factory=dict)
     module: Optional[ModuleRecord] = None
     broken: Optional[str] = None
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "violations": [
-                [v.line, v.col, v.rule_id, v.message] for v in self.violations
-            ],
-            "directives": [d.to_json() for d in self.directives],
-            "suppressed": self.suppressed,
-            "module": self.module.to_json() if self.module is not None else None,
-            "broken": self.broken,
-        }
-
-    @staticmethod
-    def from_json(path: str, data: Dict[str, Any]) -> "FileAnalysis":
-        module = data.get("module")
-        return FileAnalysis(
-            path=path,
-            violations=[
-                Violation(path=path, line=int(line), col=int(col), rule_id=str(rule), message=str(msg))
-                for line, col, rule, msg in data.get("violations", ())
-            ],
-            directives=[Directive.from_json(d) for d in data.get("directives", ())],
-            suppressed={str(k): int(v) for k, v in data.get("suppressed", {}).items()},
-            module=ModuleRecord.from_json(path, module) if module is not None else None,
-            broken=data.get("broken"),
-        )
 
 
 # -- discovery ---------------------------------------------------------------
@@ -367,56 +323,13 @@ def analyze_source(
     return analysis
 
 
-def _analyze_file(args: Tuple[str, str]) -> Tuple[str, str, Dict[str, Any]]:
-    """Worker for the process-pool fan-out; returns cacheable JSON."""
-    path_str, scope = args
-    path = Path(path_str)
+def _analyze_file(path: Path, scope: str) -> FileAnalysis:
+    path_str = str(path)
     try:
         source = path.read_text(encoding="utf-8")
     except OSError as exc:
-        broken = FileAnalysis(path=path_str, broken=f"{path_str}:1:0: cannot read: {exc}")
-        return path_str, "", broken.to_json()
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    analysis = analyze_source(source, path_str, scope=scope, fs_path=path)
-    return path_str, digest, analysis.to_json()
-
-
-# -- cache -------------------------------------------------------------------
-
-
-def _analysis_salt() -> str:
-    """sha256 over the analyzer's own sources: new rules bust the cache."""
-    digest = hashlib.sha256()
-    package_dir = Path(__file__).parent
-    for source in sorted(package_dir.glob("*.py")):
-        digest.update(source.name.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(source.read_bytes())
-        digest.update(b"\x00")
-    return digest.hexdigest()
-
-
-def _load_cache(cache_path: Path, salt: str) -> Dict[str, Any]:
-    try:
-        data = json.loads(cache_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return {}
-    if not isinstance(data, dict) or data.get("version") != _CACHE_VERSION:
-        return {}
-    if data.get("salt") != salt:
-        return {}
-    files = data.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _save_cache(cache_path: Path, salt: str, files: Dict[str, Any]) -> None:
-    payload = {"version": _CACHE_VERSION, "salt": salt, "files": files}
-    tmp = cache_path.with_name(cache_path.name + ".tmp")
-    try:
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
-        os.replace(tmp, cache_path)
-    except OSError:
-        tmp.unlink(missing_ok=True)
+        return FileAnalysis(path=path_str, broken=f"{path_str}:1:0: cannot read: {exc}")
+    return analyze_source(source, path_str, scope=scope, fs_path=path)
 
 
 # -- the engine --------------------------------------------------------------
@@ -434,7 +347,6 @@ class Report:
     #: per-rule {"errors": n, "warnings": n, "baselined": n, "suppressed": n}
     stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     files_analyzed: int = 0
-    files_reused: int = 0
     #: the acyclicity proof: packages in dependency order (None = cycle)
     package_order: Optional[List[str]] = None
 
@@ -454,58 +366,13 @@ class Report:
 def run_engine(
     paths: Sequence[Path],
     *,
-    cache_path: Optional[Path] = None,
-    jobs: int = 1,
     strict_ignores: bool = False,
     baseline: Optional[Dict[Tuple[str, str], BaselineEntry]] = None,
 ) -> Report:
     """Lint ``paths`` end to end; the CLI renders the returned report."""
     report = Report()
-    targets = list(iter_python_files(paths))
-
-    salt = _analysis_salt()
-    cached = _load_cache(cache_path, salt) if cache_path is not None else {}
-    fresh_cache: Dict[str, Any] = {}
-    analyses: Dict[str, FileAnalysis] = {}
-    pending: List[Tuple[str, str]] = []
-
-    for file_path, scope in targets:
-        key = str(file_path)
-        entry = cached.get(key)
-        digest: Optional[str] = None
-        if entry is not None and entry.get("scope") == scope:
-            try:
-                source_bytes = file_path.read_bytes()
-            except OSError:
-                source_bytes = None
-            if source_bytes is not None:
-                digest = hashlib.sha256(source_bytes).hexdigest()
-                if digest == entry.get("hash"):
-                    analyses[key] = FileAnalysis.from_json(key, entry["analysis"])
-                    fresh_cache[key] = entry
-                    report.files_reused += 1
-                    continue
-        pending.append((key, scope))
-
-    if pending:
-        if jobs > 1 and len(pending) > 4:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_analyze_file, pending, chunksize=8))
-        else:
-            results = [_analyze_file(item) for item in pending]
-        scope_of = dict(pending)
-        for key, digest_str, payload in results:
-            analyses[key] = FileAnalysis.from_json(key, payload)
-            report.files_analyzed += 1
-            if digest_str:
-                fresh_cache[key] = {
-                    "hash": digest_str,
-                    "scope": scope_of[key],
-                    "analysis": payload,
-                }
-
-    # deterministic order for everything downstream
-    ordered = [analyses[key] for key, _ in ((str(p), s) for p, s in targets)]
+    ordered = [_analyze_file(path, scope) for path, scope in iter_python_files(paths)]
+    report.files_analyzed = len(ordered)
 
     violations: List[Violation] = []
     for analysis in ordered:
@@ -516,7 +383,7 @@ def run_engine(
         for rule_id, count in analysis.suppressed.items():
             report._bump(rule_id, "suppressed", count)
 
-    # whole-program ARCH pass from the (possibly cached) module table
+    # whole-program ARCH pass from the module table
     modules = [a.module for a in ordered if a.module is not None and a.broken is None]
     violations.extend(check_architecture(modules))
     report.package_order = prove_acyclic(modules)
@@ -558,7 +425,4 @@ def run_engine(
         report._bump(violation.rule_id, "warnings")
     for violation in report.baselined:
         report._bump(violation.rule_id, "baselined")
-
-    if cache_path is not None:
-        _save_cache(cache_path, salt, fresh_cache)
     return report

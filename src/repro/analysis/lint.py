@@ -11,9 +11,8 @@ library, so it runs in any environment the repo itself runs in.
 
 Output formats: ``text`` (one ``path:line:col: RULE message`` line per
 finding), ``json`` (the full report), and ``sarif`` (SARIF 2.1.0 for CI
-artifact upload).  ``--cache`` enables the content-hash incremental
-cache; ``--baseline`` demotes accepted findings; ``--strict-ignores``
-turns stale ignore directives (SIM016) into errors.
+artifact upload).  ``--baseline`` demotes accepted findings;
+``--strict-ignores`` turns stale ignore directives (SIM016) into errors.
 
 The module-level helpers (:func:`lint_source`, :func:`lint_file`,
 :func:`lint_paths`) remain the stable legacy API: SIM001-SIM011 only,
@@ -99,7 +98,7 @@ def _report_to_json(report: Report) -> dict:
         "staleBaseline": report.stale_baseline,
         "broken": report.broken,
         "stats": report.stats,
-        "files": {"analyzed": report.files_analyzed, "reused": report.files_reused},
+        "files": {"analyzed": report.files_analyzed},
         "packageOrder": report.package_order,
     }
 
@@ -177,15 +176,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="treat stale '# simlint: ignore' directives (SIM016) as errors",
     )
     parser.add_argument(
-        "--cache",
-        type=Path,
-        default=None,
-        help="enable the incremental cache, stored at this path",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="analyze files with N worker processes"
-    )
-    parser.add_argument(
         "--stats", action="store_true", help="print a per-rule summary table to stderr"
     )
     args = parser.parse_args(argv)
@@ -209,13 +199,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    report = run_engine(
-        args.paths,
-        cache_path=args.cache,
-        jobs=max(1, args.jobs),
-        strict_ignores=args.strict_ignores,
-        baseline=baseline,
-    )
+    report = run_engine(args.paths, strict_ignores=args.strict_ignores, baseline=baseline)
 
     if report.broken:
         for message in report.broken:

@@ -21,6 +21,7 @@ recomputing them.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -67,6 +68,21 @@ def _spot(**kw):
 
     return spot_sweep(**kw)
 
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
 #: target name -> (callable, accepts day/seed kwargs)
 TARGETS = {
     "table2": (lambda **kw: F.table2_setup(), False),
@@ -104,22 +120,22 @@ def main(argv=None) -> int:
         description="regenerate the paper's tables and figures",
     )
     parser.add_argument("target", help="figure id, 'list', or 'all'")
-    parser.add_argument("--day", type=float, default=None,
+    parser.add_argument("--day", type=_positive_float, default=None,
                         help="compressed-day length in simulated seconds "
                         f"(default {F.FIG_DAY:g}; fleet defaults to its own "
                         "shorter day)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--services", type=int, default=100,
+    parser.add_argument("--services", type=_positive_int, default=100,
                         help="fleet size (fleet target only)")
-    parser.add_argument("--depth", type=int, default=None,
+    parser.add_argument("--depth", type=_positive_int, default=None,
                         help="single chain depth instead of the default "
                         "ablation depths (dag target only)")
-    parser.add_argument("--daily-queries", type=float, default=5_000_000.0,
+    parser.add_argument("--daily-queries", type=_positive_float, default=5_000_000.0,
                         help="aggregate fleet volume, queries/day (fleet "
                         "target only)")
     parser.add_argument("--export", metavar="DIR", default=None,
                         help="also write <target>.csv and <target>.json to DIR")
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", type=_positive_int, default=None,
                         help="process-pool width for sweep fan-out "
                         "(default: $REPRO_WORKERS, else serial)")
     parser.add_argument("--cache", metavar="DIR", default=None,

@@ -16,7 +16,8 @@ slices where the M/M/N reference is exact up to service-time shape.
 
 This module also owns the fleet's Eq. 5 *sizing*: the parameter draws
 live in :mod:`repro.workloads.fleet` (pure workloads-layer code), and
-:func:`generate_fleet` here injects :func:`fleet_threshold` as the
+:func:`generate_fleet` here injects
+:func:`~repro.experiments.scenarios.concurrency_threshold` as the
 member-sizing hook — the experiments layer is the only place allowed to
 see both the workload generator and the platform/queueing stack
 (DESIGN.md §12, ARCH001).
@@ -30,9 +31,9 @@ from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 from repro.core.meters import expected_platform_overhead
 from repro.experiments.executor import RunRequest, run_many
 from repro.experiments.report import FigureResult
-from repro.experiments.scenarios import Scenario, sized_reservoir
+from repro.experiments.scenarios import Scenario, concurrency_threshold, sized_reservoir
 from repro.serverless import ServerlessConfig
-from repro.sim.queueing import max_arrival_rate, sojourn_quantile
+from repro.sim.queueing import sojourn_quantile
 from repro.workloads.fleet import (
     DEFAULT_DAILY_QUERIES,
     FleetService,
@@ -49,7 +50,6 @@ __all__ = [
     "analytic_service_prediction",
     "fleet_scenarios",
     "fleet_sweep",
-    "fleet_threshold",
     "generate_fleet",
 ]
 
@@ -57,30 +57,6 @@ __all__ = [
 #: 600 simulated seconds.  Fleet sweeps multiply everything by the fleet
 #: size, so they compress harder than the single-service figures.
 FLEET_DAY = 600.0
-
-
-def fleet_threshold(
-    spec: MicroserviceSpec,
-    peak_rate: float,
-    fraction: float,
-    cfg: Optional[ServerlessConfig] = None,
-) -> int:
-    """Concurrency cap for one fleet member (Eq. 5 ceiling sizing).
-
-    Same contract as
-    :func:`repro.experiments.scenarios.concurrency_threshold`, with the
-    search cap raised to the fleet scale: the smallest n whose
-    uncontended admissible rate reaches ``fraction * peak_rate``.
-    """
-    cfg = cfg if cfg is not None else ServerlessConfig()
-    mu0 = 1.0 / (spec.exec_time + expected_platform_overhead(spec, cfg))
-    target = fraction * peak_rate
-    n = 1
-    while max_arrival_rate(mu0, n, spec.qos_target, 0.95) < target:
-        n += 1
-        if n > 65536:
-            raise ValueError(f"{spec.name}: fleet threshold search ran away")
-    return n
 
 
 def generate_fleet(
@@ -94,13 +70,13 @@ def generate_fleet(
 
     The parameter draws are :func:`repro.workloads.fleet.generate_fleet`
     (see its docstring for the determinism contract); this wrapper
-    injects :func:`fleet_threshold` under ``cfg`` as each member's
-    concurrency-cap sizing.
+    injects :func:`~repro.experiments.scenarios.concurrency_threshold`
+    under ``cfg`` as each member's concurrency-cap sizing.
     """
     sized = cfg if cfg is not None else ServerlessConfig()
 
     def limit_fn(spec: MicroserviceSpec, peak: float, fraction: float) -> int:
-        return fleet_threshold(spec, peak, fraction, sized)
+        return concurrency_threshold(spec, peak, fraction, sized)
 
     return _generate_members(
         services, daily_queries=daily_queries, day=day, seed=seed, limit_fn=limit_fn

@@ -114,7 +114,9 @@ def concurrency_threshold(
     """Container cap making the serverless ceiling ≈ ``fraction``·peak.
 
     Uses the *uncontended* per-container capacity μ₀ = 1/(exec + α);
-    the smallest n whose Eq. 5 admissible rate reaches the target.
+    the smallest n whose Eq. 5 admissible rate reaches the target.  The
+    search cap of 65536 containers covers fleet members as well as the
+    single-service figures.
     """
     if peak_rate <= 0 or not 0.0 < fraction <= 2.0:
         raise ValueError("peak_rate must be positive and fraction in (0, 2]")
@@ -124,7 +126,7 @@ def concurrency_threshold(
     n = 1
     while max_arrival_rate(mu0, n, spec.qos_target, r) < target:
         n += 1
-        if n > 4096:
+        if n > 65536:
             raise ValueError(f"{spec.name}: threshold search ran away (target {target} qps)")
     return n
 

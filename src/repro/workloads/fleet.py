@@ -32,11 +32,12 @@ a fleet deterministically from a single seed:
 
 Sizing every service's concurrency threshold is *injected* via
 ``limit_fn`` rather than computed here: the Eq. 5 admissible-rate search
-lives above this layer (``repro.experiments.fleet.fleet_threshold``),
-which keeps the workloads package independent of the platform and core
-layers (ARCH001 — see DESIGN.md §12).  The default Eq. 5 sizing is the
-reason the Erlang math in :mod:`repro.sim.queueing` has to survive large
-N without underflow.
+lives above this layer
+(``repro.experiments.scenarios.concurrency_threshold``), which keeps the
+workloads package independent of the platform and core layers (ARCH001
+— see DESIGN.md §12).  The default Eq. 5 sizing is the reason the Erlang
+math in :mod:`repro.sim.queueing` has to survive large N without
+underflow.
 """
 
 from __future__ import annotations
@@ -139,8 +140,8 @@ def generate_fleet(
         ``(spec, peak_rate, ceiling_fraction)``.  Must be deterministic
         and RNG-free (it runs after all parameter draws, so it can never
         perturb them).  The Eq. 5 sizing used by the sweeps is
-        :func:`repro.experiments.fleet.fleet_threshold`, applied by the
-        :func:`repro.experiments.fleet.generate_fleet` wrapper.
+        :func:`repro.experiments.scenarios.concurrency_threshold`, applied
+        by the :func:`repro.experiments.fleet.generate_fleet` wrapper.
     """
     if services < 1:
         raise ValueError(f"services must be >= 1, got {services}")

@@ -1,9 +1,8 @@
-"""Engine behavior: discovery, scopes, suppression spans, SIM016, cache."""
+"""Engine behavior: discovery, scopes, suppression spans, SIM016, CLI."""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+import pytest
 
 from repro.analysis.engine import (
     SCOPE_KERNEL,
@@ -13,8 +12,6 @@ from repro.analysis.engine import (
     run_engine,
 )
 from repro.analysis.lint import main
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 # -- discovery ---------------------------------------------------------------
@@ -152,7 +149,7 @@ def test_directive_mention_in_docstring_is_not_a_directive(tmp_path):
     assert report.errors == []
 
 
-# -- incremental cache -------------------------------------------------------
+# -- CLI ---------------------------------------------------------------------
 
 
 def _write_tree(tmp_path):
@@ -161,43 +158,6 @@ def _write_tree(tmp_path):
     (src / "clean.py").write_text("x = 1\n", encoding="utf-8")
     (src / "dirty.py").write_text("import time\ntime.time()\n", encoding="utf-8")
     return src
-
-
-def test_cache_reuses_unchanged_files_and_invalidates_on_edit(tmp_path):
-    src = _write_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-
-    cold = run_engine([src], cache_path=cache)
-    assert cold.files_analyzed == 2 and cold.files_reused == 0
-    assert [v.rule_id for v in cold.errors] == ["SIM001"]
-
-    warm = run_engine([src], cache_path=cache)
-    assert warm.files_analyzed == 0 and warm.files_reused == 2
-    assert [v.render() for v in warm.errors] == [v.render() for v in cold.errors]
-
-    (src / "dirty.py").write_text("import time\n", encoding="utf-8")
-    edited = run_engine([src], cache_path=cache)
-    assert edited.files_analyzed == 1 and edited.files_reused == 1
-    assert edited.errors == []
-
-
-def test_cache_survives_corruption(tmp_path):
-    src = _write_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    cache.write_text("not json{", encoding="utf-8")
-    report = run_engine([src], cache_path=cache)
-    assert report.files_analyzed == 2
-    assert json.loads(cache.read_text(encoding="utf-8"))["version"] >= 1
-
-
-def test_parallel_jobs_match_serial_results():
-    tree = FIXTURES / "arch" / "bad_cycle"
-    serial = run_engine([tree], jobs=1)
-    parallel = run_engine([tree], jobs=2)
-    assert [v.render() for v in serial.errors] == [v.render() for v in parallel.errors]
-
-
-# -- CLI ---------------------------------------------------------------------
 
 
 def test_cli_exit_codes_and_text_output(tmp_path, capsys):
@@ -224,3 +184,12 @@ def test_cli_baseline_roundtrip(tmp_path, capsys):
     assert main([str(src), "--baseline", str(baseline)]) == 0
     captured = capsys.readouterr()
     assert "baselined:" in captured.out
+
+
+@pytest.mark.parametrize("flag", [["--cache", "cache.json"], ["--jobs", "2"]])
+def test_cli_rejects_removed_cache_and_jobs_flags(tmp_path, capsys, flag):
+    src = _write_tree(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([str(src), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -129,9 +129,11 @@ SWEEP = [
     (70, 0.85),
     (500, 0.9),
     (699, 0.95),
+    (700, 0.95),
     (701, 0.95),  # first N past the old underflow cliff
     (1000, 0.8),
     (2000, 0.95),
+    (5000, 0.95),
     (5000, 0.99),
 ]
 

@@ -28,3 +28,22 @@ def test_day_and_seed_flags(capsys):
     assert main(["fig2", "--day", "300", "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert "Fig. 2" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig2", "--day", "-5"],
+        ["fig2", "--day", "0"],
+        ["fig2", "--day", "nan"],
+        ["fleet", "--daily-queries", "0"],
+        ["fleet", "--services", "0"],
+        ["dag", "--depth", "0"],
+        ["chaos", "--workers", "0"],
+    ],
+)
+def test_bad_numbers_are_rejected_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}:" in capsys.readouterr().err

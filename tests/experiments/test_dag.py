@@ -7,6 +7,7 @@ from repro.experiments.dag import (
     E2E_PER_NODE,
     NOMINAL_RATE,
     OVERLOAD_FACTOR,
+    VIOLATION_BOUND,
     dag_scenario,
     dag_sweep,
     storm_comparison,
@@ -68,9 +69,21 @@ class TestDagSweep:
         assert 4 in DEFAULT_DEPTHS
 
     def test_storm_comparison_returns_both_legs(self):
-        pair = storm_comparison(depth=2, day=45.0, workers=1, cache=False)
-        assert set(pair) == {"budgeted", "naive"}
-        assert all(s.offered > 0 for s in pair.values())
+        """The retry-storm acceptance point: 2.5x overload, 4-deep chain,
+        mid-chain brownout.  The budgeted stack holds the violation bound,
+        the naive client storms, and both legs are worker-count invariant."""
+        serial = storm_comparison(depth=4, seed=0, day=120.0, workers=1, cache=False)
+        fanned = storm_comparison(depth=4, seed=0, day=120.0, workers=2, cache=False)
+        assert set(serial) == {"budgeted", "naive"}
+        assert all(s.offered > 0 for s in serial.values())
+        for leg in ("budgeted", "naive"):
+            a, b = serial[leg], fanned[leg]
+            assert [x.hex() for x in a.latencies] == [x.hex() for x in b.latencies]
+            assert a.retries == b.retries
+        budgeted, naive = serial["budgeted"], serial["naive"]
+        assert budgeted.violation_fraction <= VIOLATION_BOUND
+        assert naive.violation_fraction >= 0.25
+        assert naive.retries["attempted"] >= 5 * max(1, budgeted.retries["attempted"])
 
 
 def test_cli_dag_target(capsys):

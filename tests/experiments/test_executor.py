@@ -141,10 +141,11 @@ class TestDeterministicMerge:
 
 
 class TestSweepIdentity:
-    def test_chaos_sweep_parallel_identity(self):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_chaos_sweep_parallel_identity(self, workers):
         kw = dict(name="matmul", day=120.0, seed=0, scales=(0.0, 1.0))
         serial = chaos_sweep(workers=1, cache=False, **kw)
-        parallel = chaos_sweep(workers=2, cache=False, **kw)
+        parallel = chaos_sweep(workers=workers, cache=False, **kw)
         assert _row_hexes(serial) == _row_hexes(parallel)
 
     def test_overload_sweep_parallel_identity(self):

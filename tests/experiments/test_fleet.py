@@ -1,8 +1,9 @@
 """Fleet generator + fleet sweep: determinism, normalization, validation.
 
 Quick-tier pieces cover the generator's contracts (pure config-time
-code); the sweep and analytic-validation tests run real simulations and
-sit in the slow tier with the other full-system runs.
+code) plus one small fleet sweep checked across worker counts; the
+larger sweep and analytic-validation tests sit in the slow tier with the
+other full-system runs.
 """
 
 import math
@@ -123,6 +124,14 @@ class TestFleetScenarios:
 
     def test_default_day(self):
         assert FLEET_DAY == 600.0
+
+
+def test_small_fleet_sweep_is_worker_count_invariant():
+    kw = dict(services=5, daily_queries=2.5e5, day=120.0, seed=0, cache=False)
+    serial = fleet_sweep(workers=1, **kw)
+    fanned = fleet_sweep(workers=2, **kw)
+    assert _hexes(serial) == _hexes(fanned)
+    assert all(row[2] > 0 for row in serial.extras["per_service"])
 
 
 # everything below runs real simulations (slow tier)
